@@ -5,7 +5,8 @@
 # throughout, with element inversion the one operation that can refuse.
 
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, isqrt
 
 from .forms import MPoly, DecomposableForm
 from .intmat import (det_cofactor, det_rational, hnf, hnf_lattice,
@@ -17,6 +18,12 @@ from .intpoly import (DomainError, degree, discriminant, normalize,
 
 def _lcm(a, b):
     return a * b // gcd(a, b)
+
+
+def _algebra_key(g):
+    # the primitive positive-leading multiple of g, which fixes Q[X]/(g)
+    key = primitive_part(g)
+    return tuple(key if key[-1] > 0 else [-c for c in key])
 
 
 class EtaleAlgebra:
@@ -36,10 +43,7 @@ class EtaleAlgebra:
             raise DomainError("defining polynomial must be squarefree")
         self.poly = g
         self.n = n
-        key = primitive_part(g)
-        if key[-1] < 0:
-            key = [-c for c in key]
-        self.key = tuple(key)
+        self.key = _algebra_key(g)
         # coordinates of alpha^k for k = 0 .. 2n-2 (all that products need)
         lead = Fraction(g[-1])
         red = [Fraction(-c) / lead for c in g[:-1]]  # alpha^n in power basis
@@ -307,7 +311,7 @@ def zeta_lattice(f, k, algebra=None):
     n = degree(f)
     if algebra is None:
         algebra = EtaleAlgebra(f)
-    elif algebra.n != n or algebra.key != EtaleAlgebra(f).key:
+    elif algebra.key != _algebra_key(f):
         raise DomainError("algebra does not match polynomial")
     if not 0 <= k <= n - 1:
         raise DomainError("k out of range")
@@ -462,57 +466,54 @@ def norm_form(l, o):
 
 
 def _int_nth_root(v, n):
-    if v < 0:
-        return None
-    r = round(v ** (1.0 / n))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c ** n == v:
-            return c
-    return None
+    """The integer r >= 0 with r**n == v, or None; exact at any size."""
+    if v < 2:
+        return v if v >= 0 else None
+    r = isqrt(v) if n == 2 else 1 << -(-v.bit_length() // n)
+    while n > 2:  # integer Newton from above: 2^ceil(bits/n) > v^(1/n)
+        y = ((n - 1) * r + v // r ** (n - 1)) // n
+        if y >= r:
+            break
+        r = y
+    return r if r ** n == v else None
 
 
 def _rational_nth_root(q, n):
-    p = _int_nth_root(q.numerator, n)
-    d = _int_nth_root(q.denominator, n)
-    if p is None or d is None:
-        return None
-    return Fraction(p, d)
+    p, d = _int_nth_root(q.numerator, n), _int_nth_root(q.denominator, n)
+    return None if p is None or d is None else Fraction(p, d)
 
 
-def _shells(n, bound):
-    # integer vectors with sup-norm s = 1..bound, first nonzero entry > 0
-    # (norms are even in sign, so one of each +- pair suffices)
-    def boxes(s):
-        def rec(i, maxed):
-            if i == n:
-                if maxed:
-                    yield ()
-                return
-            for v in range(-s, s + 1):
-                for rest in rec(i + 1, maxed or abs(v) == s):
-                    yield (v,) + rest
-        return rec(0, False)
-
+def _lines(n, bound):
+    # The search box one line at a time along the last coordinate: pairs
+    # (prefix, ts) such that prefix + (t,) for t in ts runs over the vectors
+    # of sup-norm 1..bound whose first nonzero entry is positive (norms are
+    # even in sign, so one of each +- pair suffices), by sup-norm, then lex.
+    zero = (0,) * (n - 1)
     for s in range(1, bound + 1):
-        for z in boxes(s):
-            for v in z:
-                if v > 0:
-                    yield z
-                    break
-                if v < 0:
-                    break
+        full = range(-s, s + 1)
+        for p in product(full, repeat=n - 1):
+            if p > zero:  # the first nonzero entry is positive
+                yield p, full if s in p or -s in p else (-s, s)
+            elif p == zero:
+                yield p, (s,)
 
 
-def _compile_form(p):
-    """Compile an MPoly into a positional lambda; the search loop calls it
-    millions of times, which interpreted term-walking cannot sustain."""
-    names = ["z%d" % i for i in range(p.nvars)]
-    parts = []
+def _compile_lines(p):
+    """Compile an MPoly p in z_0..z_{n-1} into two positional lambdas: the
+    coefficients of p in t = z_{n-1} (highest first) as a function of
+    z_0..z_{n-2}, and p at each t of a line by Horner on them."""
+    names = ["z%d" % i for i in range(p.nvars - 1)]
+    parts = [[] for _ in range(1 + max((e[-1] for e in p.terms), default=0))]
     for e, c in sorted(p.terms.items()):
-        mono = "*".join(nm for nm, k in zip(names, e) for _ in range(k))
-        parts.append("(%d)*%s" % (c, mono) if mono else "(%d)" % c)
-    body = " + ".join(parts) if parts else "0"
-    return eval("lambda %s: %s" % (", ".join(names), body))
+        mono = "".join("*" + nm for nm, k in zip(names, e) for _ in range(k))
+        parts[e[-1]].append("(%d)%s" % (c, mono))
+    body = ", ".join(" + ".join(q) or "0" for q in reversed(parts))
+    cs = ["c%d" % k for k in range(len(parts))]
+    horner = "c0"
+    for c in cs[1:]:
+        horner = "(%s)*t + %s" % (horner, c)
+    return (eval("lambda %s: (%s,)" % (", ".join(names), body)),
+            eval("lambda ts, %s: [%s for t in ts]" % (", ".join(cs), horner)))
 
 
 def colon_and_kappa_search(l1, l2, bound=50):
@@ -522,9 +523,11 @@ def colon_and_kappa_search(l1, l2, bound=50):
     must equal the lattice norm of l1 relative to l2.  Candidates are
     enumerated by sup-norm of their coordinates against the canonical HNF
     basis of the colon lattice up to the bound (the as-computed colon basis
-    can be badly skewed, which would bury small generators), cheap-filtered
-    by the norm condition, then confirmed exactly.  A hit is a proof;
-    exhaustion is inconclusive (None).
+    can be badly skewed, which would bury small generators), then in lex
+    order, one line along the last coordinate at a time: on a line the norm
+    form is a polynomial in that coordinate, evaluated by Horner in exact
+    integers.  Candidates passing the norm filter are confirmed exactly.  A
+    hit is a proof; exhaustion is inconclusive (None).
     """
     _same_algebra(l1, l2)
     a = l1.algebra
@@ -539,33 +542,30 @@ def colon_and_kappa_search(l1, l2, bound=50):
                             for b in l2.basis_elements()]) == l1:
             return kappa
     col = colon_lattice(l1, l2)
-    target = abs(l1.det_basis() / l2.det_basis())
     d = col.denominator
     introws = [list(row) for row in col.hnf]
     det, dd = _integer_norm_form(a, introws)
-    want = target * Fraction(dd) ** n * Fraction(d) ** n
+    want = ratio * Fraction(dd) ** n * Fraction(d) ** n
     if want.denominator != 1:
         return None
     want = want.numerator
     l2elems = l2.basis_elements()
-    norm_fn = _compile_form(det)
-    for z in _shells(n, bound):
-        if abs(norm_fn(*z)) != want:
+    coeffs, horner = _compile_lines(det)
+    for p, ts in _lines(n, bound):
+        vals = horner(ts, *coeffs(*p))
+        if want not in vals and -want not in vals:
             continue
-        coords = [Fraction(0)] * n
-        for zi, row in zip(z, introws):
-            if zi:
-                for t in range(n):
-                    coords[t] += Fraction(zi * row[t], d)
-        kappa = AlgElement(a, coords)
-        scaled = IdealLattice(a, [list((kappa * b).coords) for b in l2elems])
-        if scaled == l1:
-            # -kappa works whenever kappa does; fix the sign of the first
-            # nonzero power coordinate for a deterministic answer
-            for c in kappa.coords:
-                if c < 0:
-                    return -kappa
-                if c > 0:
-                    break
-            return kappa
+        for t, v in zip(ts, vals):
+            if v != want and v != -want:
+                continue
+            z = p + (t,)
+            kappa = AlgElement(a, [Fraction(sum(zi * row[j] for zi, row
+                                                in zip(z, introws)), d)
+                                   for j in range(n)])
+            if IdealLattice(a, [list((kappa * b).coords)
+                                for b in l2elems]) == l1:
+                # -kappa works whenever kappa does; fix the sign of the
+                # first nonzero power coordinate for a deterministic answer
+                lead = next(c for c in kappa.coords if c)
+                return -kappa if lead < 0 else kappa
     return None

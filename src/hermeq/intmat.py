@@ -56,36 +56,11 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(m, v):
-    r, c = mat_dims(m)
-    if len(v) != c:
-        raise DimensionError("matrix-vector shape mismatch")
-    return [sum(m[i][j] * v[j] for j in range(c)) for i in range(r)]
-
-
 def vec_mat(v, m):
     r, c = mat_dims(m)
     if len(v) != r:
         raise DimensionError("vector-matrix shape mismatch")
     return [sum(v[i] * m[i][j] for i in range(r)) for j in range(c)]
-
-
-def mat_scale(m, s):
-    return [[s * x for x in row] for row in m]
-
-
-def mat_add(a, b):
-    ra, ca = mat_dims(a)
-    rb, cb = mat_dims(b)
-    if (ra, ca) != (rb, cb):
-        raise DimensionError("matrix sum shape mismatch")
-    return [[a[i][j] + b[i][j] for j in range(ca)] for i in range(ra)]
-
-
-def mat_eq(a, b):
-    return mat_dims(a) == mat_dims(b) and all(
-        a[i][j] == b[i][j] for i in range(len(a)) for j in range(len(a[0]) if a else 0)
-    )
 
 
 def det_bareiss(m):

@@ -272,10 +272,3 @@ def roots_mod_p(f, p):
         if acc == 0:
             out.add(x)
     return out
-
-
-def poly_eval_fraction(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc

@@ -6,7 +6,6 @@
 
 import hashlib
 import json
-from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
 
@@ -84,10 +83,6 @@ def lattice_to_json(lat):
 
 def pair_to_json(pair):
     return {"a": matrix_to_json(pair.a), "b": matrix_to_json(pair.b)}
-
-
-def decimal_to_str(x):
-    return str(x) if isinstance(x, Decimal) else str(x)
 
 
 # ---------------------------------------------------------------------

@@ -51,10 +51,6 @@ class QuarticPair:
             return NotImplemented
         return self.a == other.a and self.b == other.b
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def __repr__(self):
         return "QuarticPair(%r, %r)" % (self.a, self.b)
 

@@ -1,10 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from hermeq import intpoly
-from hermeq.algebra import (EtaleAlgebra, colon_and_kappa_search, dual_lattice,
+from hermeq.algebra import (AlgElement, EtaleAlgebra, _int_nth_root, _lines,
+                            colon_and_kappa_search, colon_lattice, dual_lattice,
                             elem_mul, endo_ring, invariant_order, is_invertible,
                             is_order, lattice_change_of_basis, lattice_equal,
                             lattice_mul, lattice_norm, make_lattice, norm_form,
@@ -347,3 +349,66 @@ def test_kappa_search_inconclusive():
     u = unit_lattice(a)
     tri = make_lattice(a, [[3, 0], [0, 1]])
     assert colon_and_kappa_search(tri, u, 6) is None
+
+
+def test_int_nth_root_is_exact_for_large_values():
+    big = 10 ** 20 + 7
+    assert _int_nth_root(big ** 4, 4) == big
+    assert _int_nth_root(big ** 2, 2) == big
+    assert _int_nth_root(10 ** 400, 4) == 10 ** 100
+    assert _int_nth_root(10 ** 400, 2) == 10 ** 200
+    assert _int_nth_root(10 ** 400, 3) is None
+    assert _int_nth_root(big ** 4 + 1, 4) is None
+    assert _int_nth_root(big ** 2 - 1, 2) is None
+    assert _int_nth_root(17, 2) is None
+    assert _int_nth_root(0, 5) == 0 and _int_nth_root(1, 3) == 1
+    assert _int_nth_root(-8, 3) is None
+
+
+def box_reference(n, bound):
+    # one of each +- pair of the nonzero vectors of the box, by sup-norm
+    # and then lexicographically
+    vecs = [z for z in itertools.product(range(-bound, bound + 1), repeat=n)
+            if any(z) and next(v for v in z if v) > 0]
+    return sorted(vecs, key=lambda z: (max(map(abs, z)), z))
+
+
+def test_line_walk_visits_the_box_in_shell_then_lex_order():
+    for n in range(2, 6):
+        for bound in range(1, 4):
+            walked = [p + (t,) for p, ts in _lines(n, bound) for t in ts]
+            assert walked == box_reference(n, bound), (n, bound)
+
+
+def first_hit(l1, l2, bound):
+    # brute-force reference: the exact norm of each candidate by
+    # determinant, then the lattice check, in the order of box_reference
+    a = l1.algebra
+    col = colon_lattice(l1, l2)
+    want = lattice_norm(l1, l2)
+    for z in box_reference(a.n, bound):
+        kappa = AlgElement(a, [Fraction(sum(zi * row[j]
+                                            for zi, row in zip(z, col.hnf)),
+                                        col.denominator)
+                               for j in range(a.n)])
+        if abs(trace_and_norm(kappa)[1]) != want:
+            continue
+        if make_lattice(a, [list((kappa * b).coords)
+                            for b in l2.basis_elements()]) == l1:
+            return -kappa if next(c for c in kappa.coords if c) < 0 else kappa
+    return None
+
+
+def test_kappa_search_returns_the_first_hit_of_the_box():
+    # [-5, -3, 4, -2, 2] hits only in the inverse orientation, [2, -2, 5,
+    # -5, 3] only in the direct one, and [4, -1, 0, 5, 2] in neither
+    hits = 0
+    for f in ([2, -2, 5, -5, 3], [-5, -3, 4, -2, 2], [3, -4, 4, -2, 2],
+              [4, -1, 0, 5, 2]):
+        a = EtaleAlgebra(f)
+        order, ideal = zeta_lattice(f, 0, a), zeta_lattice(f, 1, a)
+        for l1, l2 in ((ideal, order), (order, ideal)):
+            want = first_hit(l1, l2, 3)
+            assert colon_and_kappa_search(l1, l2, 3) == want, f
+            hits += want is not None
+    assert hits == 4
