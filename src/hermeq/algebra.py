@@ -6,7 +6,7 @@
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .forms import MPoly, DecomposableForm
 from .intmat import (det_cofactor, det_rational, hnf, hnf_lattice,
@@ -16,8 +16,9 @@ from .intpoly import (DomainError, degree, discriminant, normalize,
                       power_sums, primitive_part)
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
+def _denominator(rows):
+    # the least positive d making d * rows integral (rows of Fractions)
+    return lcm(*(x.denominator for row in rows for x in row))
 
 
 def _algebra_key(g):
@@ -239,10 +240,7 @@ class IdealLattice:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError("lattice basis must be square of algebra degree")
         basis = [[Fraction(x) for x in row] for row in rows]
-        d = 1
-        for row in basis:
-            for x in row:
-                d = _lcm(d, x.denominator)
+        d = _denominator(basis)
         scaled = [[int(x * d) for x in row] for row in basis]
         try:
             h, _ = hnf(scaled)
@@ -274,6 +272,11 @@ class IdealLattice:
 
     def basis_elements(self):
         return [AlgElement(self.algebra, row) for row in self.basis]
+
+    def scaled(self, kappa):
+        """The lattice kappa * L, on the basis kappa * b_i."""
+        return IdealLattice(self.algebra, [list((kappa * b).coords)
+                                           for b in self.basis_elements()])
 
     def det_basis(self):
         return det_rational([list(r) for r in self.basis])
@@ -349,10 +352,7 @@ def lattice_mul(l1, l2):
     for x in l1.basis_elements():
         for y in l2.basis_elements():
             prods.append(list((x * y).coords))
-    d = 1
-    for row in prods:
-        for c in row:
-            d = _lcm(d, c.denominator)
+    d = _denominator(prods)
     scaled = [[int(c * d) for c in row] for row in prods]
     h, _, rank = hnf_lattice(scaled)
     if rank != n:
@@ -420,11 +420,7 @@ def _integer_norm_form(algebra, rows):
     # N(z1 r1 + ... + zn rn) for integer rows r_i, as an integer form in z
     n = algebra.n
     mats = [AlgElement(algebra, row).mult_matrix() for row in rows]
-    d = 1
-    for m in mats:
-        for r in m:
-            for x in r:
-                d = _lcm(d, x.denominator)
+    d = _denominator([r for m in mats for r in m])
     sym = [[MPoly(n) for _ in range(n)] for _ in range(n)]
     for i, m in enumerate(mats):
         xi = MPoly.variable(n, i)
@@ -447,10 +443,7 @@ def norm_form(l, o):
         raise DomainError("second argument must be an order")
     a = l.algebra
     n = a.n
-    d = 1
-    for row in l.basis:
-        for x in row:
-            d = _lcm(d, x.denominator)
+    d = _denominator(l.basis)
     introws = [[int(x * d) for x in row] for row in l.basis]
     det, dd = _integer_norm_form(a, introws)
     nu = lattice_norm(l, o)
@@ -530,6 +523,8 @@ def colon_and_kappa_search(l1, l2, bound=50):
     hit is a proof; exhaustion is inconclusive (None).
     """
     _same_algebra(l1, l2)
+    if bound < 0:
+        raise DomainError("search bound must be >= 0")
     a = l1.algebra
     n = a.n
     if l1 == l2:
@@ -538,8 +533,7 @@ def colon_and_kappa_search(l1, l2, bound=50):
     c = _rational_nth_root(ratio, n)
     if c is not None:
         kappa = c * a.one()
-        if IdealLattice(a, [list((kappa * b).coords)
-                            for b in l2.basis_elements()]) == l1:
+        if l2.scaled(kappa) == l1:
             return kappa
     col = colon_lattice(l1, l2)
     d = col.denominator
@@ -549,7 +543,6 @@ def colon_and_kappa_search(l1, l2, bound=50):
     if want.denominator != 1:
         return None
     want = want.numerator
-    l2elems = l2.basis_elements()
     coeffs, horner = _compile_lines(det)
     for p, ts in _lines(n, bound):
         vals = horner(ts, *coeffs(*p))
@@ -562,8 +555,7 @@ def colon_and_kappa_search(l1, l2, bound=50):
             kappa = AlgElement(a, [Fraction(sum(zi * row[j] for zi, row
                                                 in zip(z, introws)), d)
                                    for j in range(n)])
-            if IdealLattice(a, [list((kappa * b).coords)
-                                for b in l2elems]) == l1:
+            if l2.scaled(kappa) == l1:
                 # -kappa works whenever kappa does; fix the sign of the
                 # first nonzero power coordinate for a deterministic answer
                 lead = next(c for c in kappa.coords if c)

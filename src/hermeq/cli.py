@@ -5,7 +5,9 @@ form computation, the equivalence checks, table partitions, family
 generation, the quartic example, bound evaluation, and the full
 reproduction battery.  All results go to stdout as canonical JSON (big
 integers as decimal strings), diagnostics go to stderr, and the exit
-code is the verdict: 0 affirmative, 1 negative, 2 usage or bad input.
+code is the verdict: 0 affirmative, 1 negative, 2 usage or bad input,
+3 internal failure (a broken invariant or an arithmetic error, never a
+verdict).
 """
 
 import argparse
@@ -321,6 +323,10 @@ def main(argv=None):
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except (AssertionError, ArithmeticError, RecursionError) as exc:
+        sys.stderr.write("error: internal failure: %s: %s\n"
+                         % (type(exc).__name__, " ".join(str(exc).split())))
+        return 3
     out = canonical_dumps(payload) + "\n"
     sys.stdout.write(out)
     if args.manifest:

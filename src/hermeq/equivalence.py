@@ -11,15 +11,13 @@
 # power lattice equals the power lattice of alpha yields a unimodular change
 # of basis carrying one form to the other.
 
-from fractions import Fraction
-
 from .algebra import EtaleAlgebra, IdealLattice, lattice_change_of_basis, zeta_lattice
-from .intmat import (det_bareiss, inverse_rational, is_unimodular, left_kernel,
+from .intmat import (identity, inverse_rational, is_unimodular, left_kernel,
                      mat_int_check, mat_mul)
 from .intpoly import (DomainError, constant_term, content, degree,
-                      discriminant, normalize, poly_add, poly_divmod_exact,
-                      poly_eval, poly_mul, poly_pow, poly_scale, poly_shift,
-                      reverse)
+                      discriminant, normalize, poly_add, poly_compose,
+                      poly_divmod_exact, poly_eval, poly_mul, poly_pow,
+                      poly_scale, poly_shift, reverse)
 
 
 class DegreeDropError(DomainError):
@@ -103,18 +101,10 @@ def z_equiv_test(f, g):
         if num % n:
             continue
         a = num // n
-        cand = poly_scale(_compose_linear(f, e, a), e ** n)
+        cand = poly_scale(poly_compose(f, [a, e]), e ** n)
         if cand == g:
             return (e, a)
     return None
-
-
-def _compose_linear(f, e, a):
-    # f(eX + a) by Horner
-    acc = []
-    for c in reversed(f):
-        acc = poly_add(poly_mul(acc, [a, e]), [c] if c else [])
-    return acc
 
 
 def _solve_33(f, b):
@@ -190,29 +180,29 @@ def gl2_witness_solve(f, beta):
 
 
 def _charpoly(m):
-    # char poly of an integer matrix by interpolation at 0..n; monic, exact
+    # det(X I - m) of an integer matrix by Faddeev-LeVerrier: with M_1 = I,
+    # c_{n-k} = -tr(m M_k) / k and M_{k+1} = m M_k + c_{n-k} I.  The c_j are
+    # integers and so is every M_k, so each division is exact.
     n = len(m)
-    nodes = list(range(n + 1))
-    vals = [det_bareiss([[(x if i == j else 0) - m[i][j]
-                          for j in range(n)] for i in range(n)])
-            for x in nodes]
-    poly = [Fraction(0)] * (n + 1)
-    for xk, yk in zip(nodes, vals):
-        num = [Fraction(yk)]
-        den = 1
-        for xj in nodes:
-            if xj == xk:
-                continue
-            num = poly_mul(num, [Fraction(-xj), Fraction(1)])
-            den *= xk - xj
-        for t, co in enumerate(num):
-            poly[t] += Fraction(co) / den
-    out = []
-    for co in poly:
-        if co.denominator != 1:
+    out = [0] * n + [1]
+    mk = identity(n)
+    for k in range(1, n + 1):
+        mk = mat_mul(m, mk)
+        c, r = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if r:
             raise AssertionError("characteristic polynomial not integral")
-        out.append(int(co))
-    return normalize(out)
+        out[n - k] = c
+        for i in range(n):
+            mk[i][i] += c
+    return out
+
+
+def _powers(alg, beta):
+    # coordinate rows of beta^0, ..., beta^(n-1) in the power basis
+    pows = [alg.one()]
+    for _ in range(alg.n - 1):
+        pows.append(pows[-1] * beta)
+    return [list(x.coords) for x in pows]
 
 
 class _BetaContext:
@@ -220,23 +210,16 @@ class _BetaContext:
     __slots__ = ("pinv", "minpoly")
 
     def __init__(self, alg, beta_full):
-        n = alg.n
         beta = alg.from_poly(beta_full)
-        rows = []
-        x = alg.one()
-        for _ in range(n):
-            rows.append([Fraction(c) for c in x.coords])
-            x = x * beta
-        p = mat_int_check(rows)
+        p = mat_int_check(_powers(alg, beta))
         if not is_unimodular(p):
             raise PreconditionError("powers of beta do not span Z[alpha]")
-        self.pinv = inverse_rational(p)
+        self.pinv = mat_int_check(inverse_rational(p))  # integral: P unimodular
         self.minpoly = _charpoly(mat_int_check(beta.mult_matrix()))
 
 
 def _pair_witness(ctx_i, beta_j_full):
-    w = mat_int_check(mat_mul([[Fraction(x) for x in beta_j_full]],
-                              ctx_i.pinv))[0]
+    w = mat_mul([beta_j_full], ctx_i.pinv)[0]
     w[0] = 0  # translate the constant coordinate away
     if not any(w):
         return None
@@ -246,13 +229,7 @@ def _pair_witness(ctx_i, beta_j_full):
 def beta_power_matrix(f, beta_full):
     """Rows = coordinates of beta^0, ..., beta^(n-1) in the power basis."""
     alg = EtaleAlgebra(f)
-    beta = alg.from_poly(beta_full)
-    rows = []
-    x = alg.one()
-    for _ in range(alg.n):
-        rows.append([Fraction(c) for c in x.coords])
-        x = x * beta
-    return mat_int_check(rows)
+    return mat_int_check(_powers(alg, alg.from_poly(beta_full)))
 
 
 def beta_minpoly(f, beta):
@@ -349,18 +326,10 @@ def hermite_witness_check(f, g, expr):
         raise ContentMismatchError("leading coefficients differ in absolute value")
     alg = EtaleAlgebra(f)
     beta = alg.from_poly(expr)
-    acc = alg.zero()
-    for c in reversed(g):
-        acc = acc * beta + c
-    if acc != 0:
+    if poly_eval(g, beta) != 0:
         raise NotARootError("expression is not a root of the target")
-    rows = []
-    x = alg.one()
-    for _ in range(n):
-        rows.append(list(x.coords))
-        x = x * beta
     try:
-        lbeta = IdealLattice(alg, rows)
+        lbeta = IdealLattice(alg, _powers(alg, beta))
     except DomainError:
         return None
     top = zeta_lattice(f, n - 1, alg)

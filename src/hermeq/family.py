@@ -311,14 +311,9 @@ def generate_certified_pair(n, params):
     alg = EtaleAlgebra(f)
     alpha = alg.alpha()
     beta = alpha - c * alpha * alpha
-    acc = alg.zero()
-    for co in reversed(g):
-        acc = acc * beta + co
-    need(acc == 0, "beta is a root of g")
-    acc = alg.zero()
-    for co in reversed(recovery):
-        acc = acc * beta + co
-    need(acc == alpha, "recovery polynomial returns alpha")
+    need(poly_eval(g, beta) == 0, "beta is a root of g")
+    need(poly_eval(recovery, beta) == alpha,
+         "recovery polynomial returns alpha")
 
     u = hermite_witness_check(f, g, [0, 1, -c])
     need(u is not None, "lattice witness")

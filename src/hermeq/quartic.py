@@ -15,8 +15,7 @@
 
 from .intmat import mat_mul, transpose, is_unimodular, mat_dims
 from .intpoly import DomainError, normalize, degree, discriminant
-from .algebra import (EtaleAlgebra, IdealLattice, zeta_lattice,
-                      colon_and_kappa_search)
+from .algebra import EtaleAlgebra, zeta_lattice, colon_and_kappa_search
 from .primes import is_squarefree
 
 
@@ -152,9 +151,7 @@ def principality_evidence(f, bound=16):
         if lam is not None:
             kappa = lam.inverse()
             orientation = "inverse"
-            check = IdealLattice(alg, [list((kappa * b).coords)
-                                       for b in order.basis_elements()])
-            if check != ideal:
+            if order.scaled(kappa) != ideal:
                 raise RuntimeError("inverse-orientation generator failed "
                                    "its confirmation")
     return {

@@ -178,16 +178,20 @@ def check_norm_form_theorem():
 
 
 def _table_partition(name, table_dir=None):
+    # (computed == printed, detail) for one packaged or given table
     source = name
     if table_dir is not None:
         source = os.path.join(table_dir, name + ".json")
-    table = load_table(source)
-    computed = sorted(sorted(i + 1 for i in cls)
-                      for cls in partition_gl2(table["minpoly"],
-                                               table["betas"]))
+    try:
+        table = load_table(source)
+        computed = sorted(sorted(i + 1 for i in cls)
+                          for cls in partition_gl2(table["minpoly"],
+                                                   table["betas"]))
+    except DomainError as exc:
+        return False, {"table": name, "error": str(exc)}
     printed = sorted(table["classes"])
     agree = [c for c in computed if c in printed]
-    return {
+    return computed == printed, {
         "table": name,
         "computed": computed,
         "printed": printed,
@@ -198,34 +202,24 @@ def _table_partition(name, table_dir=None):
 
 
 def check_table1(table_dir=None):
-    try:
-        detail = _table_partition("table1", table_dir)
-    except DomainError as exc:
-        return False, {"table": "table1", "error": str(exc)}
-    return detail["computed"] == detail["printed"], detail
+    return _table_partition("table1", table_dir)
 
 
 def check_table2(table_dir=None):
-    try:
-        detail = _table_partition("table2", table_dir)
-    except DomainError as exc:
-        return False, {"table": "table2", "error": str(exc)}
-    return detail["computed"] == detail["printed"], detail
+    return _table_partition("table2", table_dir)
 
 
 def check_table3(table_dir=None):
     """The sextic table: the printed list assigns one generator twice and
     omits another, so the requirement is 11 classes with agreement on at
     least 10, plus an explicit report of where 15 and 25 land."""
-    try:
-        detail = _table_partition("table3", table_dir)
-    except DomainError as exc:
-        return False, {"table": "table3", "error": str(exc)}
+    ok, detail = _table_partition("table3", table_dir)
+    if "error" in detail:
+        return ok, detail
     computed = detail["computed"]
     detail["class_of_15"] = next((c for c in computed if 15 in c), None)
     detail["class_of_25"] = next((c for c in computed if 25 in c), None)
-    ok = len(computed) == 11 and detail["agreement"] >= 10
-    return ok, detail
+    return len(computed) == 11 and detail["agreement"] >= 10, detail
 
 
 def check_quartic_example():

@@ -351,6 +351,15 @@ def test_kappa_search_inconclusive():
     assert colon_and_kappa_search(tri, u, 6) is None
 
 
+def test_kappa_search_rejects_negative_bound():
+    # checked before the equal-lattice and scalar shortcuts
+    a = EtaleAlgebra(GAUSS)
+    u = unit_lattice(a)
+    with pytest.raises(DomainError):
+        colon_and_kappa_search(u, u, -1)
+    assert colon_and_kappa_search(u, u, 0) == a.one()
+
+
 def test_int_nth_root_is_exact_for_large_values():
     big = 10 ** 20 + 7
     assert _int_nth_root(big ** 4, 4) == big

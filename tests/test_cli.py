@@ -158,6 +158,25 @@ def test_bounds_command(capsys):
     assert rep["split_counts"]["gl2"] == "10"
 
 
+def test_internal_failure_exits_3_without_output(capsys):
+    # the bound report overflows the decimal context here; a crash must
+    # not read as the negative verdict 1
+    code, out, err = run(capsys, "bounds", "--n", "3000", "--disc", "5",
+                         "--monic")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_negative_search_bound_exits_2(capsys):
+    code, out, err = run(capsys, "quartic", "principal-evidence",
+                         "--poly", "[255,13,-62,-1,4]", "--bound", "-3")
+    assert code == 2
+    assert out == ""
+    assert "bound" in err
+
+
 def test_outputs_are_byte_identical(capsys):
     outs = set()
     for _ in range(3):

@@ -5,7 +5,8 @@ import sympy
 
 from hermeq.equivalence import (ContentMismatchError, DegenerateSystemError,
                                 DegreeDropError, NotARootError,
-                                PreconditionError, _solve_33, beta_minpoly,
+                                PreconditionError, _charpoly, _solve_33,
+                                beta_minpoly,
                                 beta_power_matrix, gl2_act, gl2_pair_test,
                                 gl2_witness_solve, hermite_witness_check,
                                 partition_gl2, reducible_pair, z_equiv_test)
@@ -204,6 +205,22 @@ def test_beta_minpoly_against_sympy():
         expr = b[0] * alpha + b[1] * alpha ** 2 + b[2] * alpha ** 3
         mp = sympy.minimal_polynomial(expr, X)
         assert beta_minpoly(QUARTIC, b) == [int(v) for v in reversed(sympy.Poly(mp, X).all_coeffs())]
+
+
+def test_charpoly_against_sympy_on_random_integer_matrices():
+    # arbitrary integer matrices, not only multiplication matrices, with a
+    # repeated row or a zero row forcing singular ones at every size
+    rng = random.Random(74)
+    for n in range(1, 7):
+        for trial in range(6):
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if trial == 1:
+                m[-1] = list(m[0])
+            elif trial == 2:
+                m[rng.randrange(n)] = [0] * n
+            want = sympy.Matrix(m).charpoly(X).all_coeffs()
+            assert _charpoly(m) == [int(v) for v in reversed(want)], m
+    assert _charpoly([[0, 0], [0, 0]]) == [0, 0, 1]
 
 
 def test_beta_power_matrix_unimodular_for_generators():
