@@ -169,9 +169,6 @@ class AlgElement:
     def __repr__(self):
         return "AlgElement(%r)" % (list(self.coords),)
 
-    def is_integral_vector(self):
-        return all(c.denominator == 1 for c in self.coords)
-
     def inverse(self):
         """The multiplicative inverse, or DomainError for a zero divisor."""
         m = self.mult_matrix()

@@ -11,7 +11,8 @@ _MONIC_LOG_PRECISION = 40
 
 
 def coeff_bound_log(n, d, monic=False):
-    """Natural log of the coefficient-height bound at discriminant d.
+    """The coefficient-height bound at discriminant d (the bound itself,
+    not its logarithm; the name is historical).
 
     General polynomials: the exact integer (4^2 n^3)^(25 n^2) |d|^(5n-3).
     Monic polynomials: n^20 8^(n^2+19) (|d| (log* |d|)^n)^(n-1), where
@@ -104,7 +105,7 @@ def bound_report(n, d, monic=False):
         "n": n,
         "D": d,
         "monic": bool(monic),
-        "log_height_bound": coeff_bound_log(n, d, monic),
+        "height_bound": coeff_bound_log(n, d, monic),
         "degree_cap": max_degree(d, monic),
         "split_counts": {
             "gl2": split_counts(n, False),

@@ -25,9 +25,9 @@ from .family import (CertificateError, FamilyParams, build_kit, find_params,
 from .forms import hermite_form
 from .intpoly import DomainError, degree, discriminant
 from .jsonio import (canonical_dumps, element_to_json, form_to_json,
-                     int_list_from_json, lattice_to_json, load_table,
-                     matrix_to_json, pair_to_json, poly_from_json,
-                     poly_to_json)
+                     int_list_from_json, int_to_str, lattice_to_json,
+                     load_table, matrix_to_json, pair_to_json,
+                     poly_from_json, poly_to_json)
 from .quartic import iota, principality_evidence, verify_example
 from .reproduce import reproduce_all
 
@@ -56,7 +56,7 @@ def _cmd_form(args):
 
 
 def _cmd_disc(args):
-    return 0, {"discriminant": str(discriminant(_poly_arg(args.poly)))}
+    return 0, {"discriminant": int_to_str(discriminant(_poly_arg(args.poly)))}
 
 
 def _cmd_order(args):
@@ -152,7 +152,7 @@ def _cmd_family_gen(args):
         "witness_expr": poly_to_json(bundle["witness_expr"]),
         "witness": matrix_to_json(bundle["witness"]),
         "eisenstein_prime": bundle["eisenstein_prime"],
-        "discriminant": str(bundle["discriminant"]),
+        "discriminant": int_to_str(bundle["discriminant"]),
         "properly_nonmonic": bundle["properly_nonmonic"],
     }
     if args.out:
@@ -169,7 +169,7 @@ def _cmd_quartic_verify_example(args):
     report = verify_example()
     ok = (report["act_matches"] and report["disc_equal"]
           and report["disc_squarefree"])
-    payload = dict(report, disc=str(report["disc"]))
+    payload = dict(report, disc=int_to_str(report["disc"]))
     return (0 if ok else 1), payload
 
 
@@ -190,11 +190,12 @@ def _cmd_bounds(args):
     rep = bound_report(args.n, args.disc, monic=args.monic)
     return 0, {
         "n": rep["n"],
-        "D": str(rep["D"]),
+        "D": int_to_str(rep["D"]),
         "monic": rep["monic"],
-        "log_height_bound": str(rep["log_height_bound"]),
+        "height_bound": int_to_str(rep["height_bound"]),
         "degree_cap": rep["degree_cap"],
-        "split_counts": {k: str(v) for k, v in rep["split_counts"].items()},
+        "split_counts": {k: int_to_str(v)
+                         for k, v in rep["split_counts"].items()},
     }
 
 

@@ -154,9 +154,6 @@ class DecomposableForm:
     def __repr__(self):
         return "DecomposableForm(%d, %r)" % (self.n, self.terms)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
     def evaluate(self, point):
         if len(point) != self.n:
             raise DomainError("evaluation point has wrong length")
@@ -250,26 +247,35 @@ def form_content(F):
 
 
 def act_gln(F, u):
-    """Substituted form F(u X), expanded exactly; u must be unimodular."""
+    """Substituted form F(u X), expanded exactly; u must be unimodular.
+
+    Multivariate Horner: grouped by the exponent of X_0, F is a polynomial
+    in L_0 = sum_j u[0][j] X_j whose coefficients are the groups, each
+    substituted the same way in X_1, ...  Every step multiplies by one
+    linear form L_i, so no power of a linear form is ever expanded.
+    """
     r, c = mat_dims(u)
     if r != c or r != F.n or not is_unimodular(u):
         raise DomainError("substitution matrix must be unimodular of matching size")
     n = F.n
-    linear = []
-    for i in range(n):
-        li = MPoly(n)
-        for j in range(n):
-            if u[i][j]:
-                li = li + u[i][j] * MPoly.variable(n, j)
-        linear.append(li)
-    total = MPoly(n)
-    for e, coef in F.terms.items():
-        t = MPoly.constant(n, coef)
-        for i, k in enumerate(e):
-            if k:
-                t = t * linear[i] ** k
-        total = total + t
-    return DecomposableForm(n, total.terms)
+    linear = [MPoly(n, {tuple(int(k == j) for k in range(n)): u[i][j]
+                        for j in range(n)}) for i in range(n)]
+
+    def sub(terms, i):
+        # terms: exponents of X_i, ..., X_(n-1) -> coefficient
+        if i == n:
+            return terms[()]
+        groups = {}
+        for e, coef in terms.items():
+            groups.setdefault(e[0], {})[e[1:]] = coef
+        acc = MPoly(n)
+        for k in range(max(groups), -1, -1):
+            acc = acc * linear[i]
+            if k in groups:
+                acc = acc + sub(groups[k], i + 1)
+        return acc
+
+    return DecomposableForm(n, sub(F.terms, 0).terms if F.terms else {})
 
 
 def transfer_matrix(gamma, n):

@@ -3,17 +3,46 @@
 # size (they are accepted as plain JSON numbers too, which is what you
 # want when typing small inputs by hand).  Serialization is canonical:
 # sorted keys, fixed separators, so equal values give equal bytes.
+#
+# Python refuses int/str conversions past 4300 digits by default
+# (sys.set_int_max_str_digits).  An exact result must print however long
+# it is, so int_to_str lifts that limit for the one conversion it makes.
+# On input the limit is replaced by an explicit cap, MAX_INPUT_DIGITS:
+# a longer decimal string is refused as bad input, one within the cap
+# is read in full.
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from importlib import resources
 
 from .intpoly import DomainError
 
 
+MAX_INPUT_DIGITS = 100000
+
+
 def canonical_dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _unlimited(conv, *args):
+    """conv(*args), retried with the interpreter's digit limit lifted."""
+    try:
+        return conv(*args)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return conv(*args)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def int_to_str(x):
+    """Decimal string of an integer (or Decimal) of any length."""
+    return _unlimited(str, x)
 
 
 def _read_int(x, what):
@@ -24,8 +53,11 @@ def _read_int(x, what):
     if isinstance(x, str):
         s = x.strip()
         body = s[1:] if s[:1] in "+-" else s
-        if body.isdigit():
-            return int(s, 10)
+        if body.isdecimal():
+            if len(body) > MAX_INPUT_DIGITS:
+                raise DomainError("%s has %d digits, over the cap of %d"
+                                  % (what, len(body), MAX_INPUT_DIGITS))
+            return _unlimited(int, s, 10)
     raise DomainError("%s must be an integer or decimal string, got %r"
                       % (what, x))
 
@@ -37,7 +69,7 @@ def int_list_from_json(obj, what="list"):
 
 
 def poly_to_json(f):
-    return {"coeffs": [str(c) for c in f]}
+    return {"coeffs": [int_to_str(c) for c in f]}
 
 
 def poly_from_json(obj):
@@ -47,7 +79,7 @@ def poly_from_json(obj):
 
 
 def matrix_to_json(m):
-    return [[str(x) for x in row] for row in m]
+    return [[int_to_str(x) for x in row] for row in m]
 
 
 def matrix_from_json(obj, what="matrix"):
@@ -61,8 +93,9 @@ def matrix_from_json(obj, what="matrix"):
 
 def fraction_to_str(x):
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else \
-        "%d/%d" % (x.numerator, x.denominator)
+    num = int_to_str(x.numerator)
+    return num if x.denominator == 1 else \
+        num + "/" + int_to_str(x.denominator)
 
 
 def element_to_json(x):
@@ -72,12 +105,12 @@ def element_to_json(x):
 def form_to_json(form):
     terms = []
     for e in sorted(form.terms):
-        terms.append({"exp": list(e), "coeff": str(form.terms[e])})
+        terms.append({"exp": list(e), "coeff": int_to_str(form.terms[e])})
     return {"nvars": form.n, "terms": terms}
 
 
 def lattice_to_json(lat):
-    return {"denominator": str(lat.denominator),
+    return {"denominator": int_to_str(lat.denominator),
             "hnf": matrix_to_json(lat.hnf)}
 
 

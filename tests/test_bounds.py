@@ -90,7 +90,7 @@ def test_bound_report_shape():
     rep = bound_report(4, 3981)
     assert rep["n"] == 4 and rep["D"] == 3981 and rep["monic"] is False
     assert rep["degree_cap"] == 18
-    assert rep["log_height_bound"] == coeff_bound_log(4, 3981)
+    assert rep["height_bound"] == coeff_bound_log(4, 3981)
     sc = rep["split_counts"]
     assert sc["gl2"] == 10 and sc["z_monic"] == 2760
     assert sc["large_disc_gl2"] == 7 and sc["large_disc_z_monic"] == 182

@@ -4,6 +4,7 @@ import sys
 from importlib import resources
 
 from hermeq.cli import main
+from hermeq.jsonio import MAX_INPUT_DIGITS
 
 T1_POLY = '[1,2,-4,-1,1]'
 
@@ -156,6 +157,39 @@ def test_bounds_command(capsys):
     rep = json.loads(out)
     assert rep["degree_cap"] == 18
     assert rep["split_counts"]["gl2"] == "10"
+
+
+def _parse_long_int(text):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_bounds_prints_integers_past_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "bounds", "--n", "10", "--disc", "5")
+    assert code == 0 and err == ""
+    text = json.loads(out)["height_bound"]
+    assert len(text) > 4300
+    assert _parse_long_int(text) == (16 * 10 ** 3) ** 2500 * 5 ** 47
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_long_decimal_inputs_read_in_full_up_to_the_cap(capsys):
+    digits = "1" + "0" * 4999 + "7"  # 10^5000 + 7, past Python's limit
+    code, out, _ = run(capsys, "disc", "--poly",
+                       json.dumps(["-" + digits, "0", "1"]))
+    assert code == 0
+    assert _parse_long_int(json.loads(out)["discriminant"]) == (
+        4 * (10 ** 5000 + 7))
+    code, out, err = run(capsys, "disc", "--poly",
+                         json.dumps(["1", "0", "7" * (MAX_INPUT_DIGITS + 1)]))
+    assert code == 2
+    assert out == ""
+    assert str(MAX_INPUT_DIGITS) in err and "cap" in err
 
 
 def test_internal_failure_exits_3_without_output(capsys):

@@ -150,6 +150,52 @@ def test_act_gln_matches_sympy_substitution():
         assert sympy.expand(mine - subbed) == 0
 
 
+def _sympy_substituted_terms(F, u):
+    xs = sympy.symbols("x0:%d" % F.n)
+    powers = []  # powers[i][k] = L_i^k, L_i = sum_j u[i][j] x_j
+    for i in range(F.n):
+        li = sympy.Poly(sum(u[i][j] * xs[j] for j in range(F.n)), *xs)
+        powers.append([li ** k for k in range(F.n + 1)])
+    total = sympy.Poly(0, *xs)
+    for e, coef in F.terms.items():
+        t = sympy.Poly(coef, *xs)
+        for pw, k in zip(powers, e):
+            t *= pw[k]
+        total += t
+    return {e: int(c) for e, c in total.as_dict().items() if c}
+
+
+def test_act_gln_by_horner_matches_sympy_up_to_degree_6():
+    rng = random.Random(53)
+    for n in range(2, 7):
+        f = [rng.randint(-6, 6) for _ in range(n)] + [rng.choice([1, 2, -3])]
+        single = [0] * n
+        single[0], single[-1] = 1, n - 1
+        forms = [hermite_form(f),
+                 DecomposableForm(n, {tuple(single): -5}),
+                 DecomposableForm(n, {(0,) * (n - 1) + (n,): 7}),
+                 DecomposableForm(n, {})]
+        u = intmat.identity(n)
+        for _ in range(2 * n):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                q = rng.randint(-2, 2)
+                for k in range(n):
+                    u[i][k] += q * u[j][k]
+        # a signed permutation of determinant -1
+        perm = list(range(n))
+        rng.shuffle(perm)
+        signed = [[rng.choice([1, -1]) if j == perm[i] else 0
+                   for j in range(n)] for i in range(n)]
+        if intmat.det_bareiss(signed) == 1:
+            signed[0] = [-x for x in signed[0]]
+        assert intmat.det_bareiss(signed) == -1
+        for F in forms:
+            for m in (u, signed):
+                assert act_gln(F, m).terms == _sympy_substituted_terms(F, m)
+        assert act_gln(DecomposableForm(n, {}), u) == DecomposableForm(n, {})
+
+
 def test_act_gln_composition():
     rng = random.Random(37)
     F = hermite_form([1, 2, 0, 1])
