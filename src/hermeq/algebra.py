@@ -9,16 +9,39 @@ from itertools import product
 from math import gcd, isqrt, lcm
 
 from .forms import MPoly, DecomposableForm
-from .intmat import (det_cofactor, det_rational, hnf, hnf_lattice,
-                     inverse_rational, is_unimodular, mat_int_check, mat_mul,
-                     RankError)
+from .intmat import (det_bareiss, det_cofactor, det_rational, hnf,
+                     hnf_lattice, inverse_rational, is_unimodular,
+                     mat_int_check, mat_mul, RankError)
 from .intpoly import (DomainError, degree, discriminant, normalize,
-                      power_sums, primitive_part)
+                      poly_eval, power_sums, primitive_part)
 
 
-def _denominator(rows):
-    # the least positive d making d * rows integral (rows of Fractions)
-    return lcm(*(x.denominator for row in rows for x in row))
+def _lowest(rows, den=1):
+    # rows of ints over den > 0, or of ints and Fractions (den 1), as
+    # integer rows over their least positive denominator
+    if any(type(x) is not int for row in rows for x in row):
+        rows = [[Fraction(x) for x in row] for row in rows]
+        m = lcm(*(x.denominator for row in rows for x in row))
+        rows = [[x.numerator * (m // x.denominator) for x in row]
+                for row in rows]
+        den *= m
+    g = gcd(den, *(x for row in rows for x in row))
+    return [[x // g for x in row] for row in rows], den // g
+
+
+def _rows(elems):
+    # integer rows of the elements over their least common denominator
+    d = lcm(*(x.den for x in elems))
+    return [[c * (d // x.den) for c in x.num] for x in elems], d
+
+
+def product_rows(x, r):
+    """(rows, d): the integer rows of x * r^k, k = 0 .. n-1, over their least
+    common denominator d; the multiplication matrix of x for r = alpha."""
+    pows = [x]
+    for _ in range(x.algebra.n - 1):
+        pows.append(pows[-1] * r)
+    return _rows(pows)
 
 
 def _algebra_key(g):
@@ -45,18 +68,18 @@ class EtaleAlgebra:
         self.poly = g
         self.n = n
         self.key = _algebra_key(g)
-        # coordinates of alpha^k for k = 0 .. 2n-2 (all that products need)
-        lead = Fraction(g[-1])
-        red = [Fraction(-c) / lead for c in g[:-1]]  # alpha^n in power basis
-        pows = [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
+        # integer rows of s alpha^k, k = 0 .. 2n-2 (all that products need),
+        # s = |lead|^(n-1): alpha^(n+j) has a denominator dividing
+        # lead^(j+1), so each row is integral and each step divides exactly
+        s = self.pow_scale = abs(g[-1]) ** (n - 1)
+        pows = [[s * (i == k) for i in range(n)] for k in range(n)]
         for _ in range(n - 1):
             prev = pows[-1]
-            nxt = [Fraction(0)] + prev[:-1]
-            top = prev[-1]
-            if top:
-                nxt = [a + top * b for a, b in zip(nxt, red)]
-            pows.append(nxt)
-        self.alpha_pows = [tuple(v) for v in pows]
+            q, r = divmod(prev[-1], g[-1])
+            if r:
+                raise AssertionError("power table not integral")
+            pows.append([a - q * c for a, c in zip([0] + prev[:-1], g)])
+        self.pow_table = pows
         # traces of alpha^k, k = 0 .. 2n-2 (power sums of the roots of g)
         self.traces = power_sums(g, 2 * n - 2)
 
@@ -72,7 +95,7 @@ class EtaleAlgebra:
     def element(self, coords):
         if len(coords) != self.n:
             raise DomainError("coordinate vector has wrong length")
-        return AlgElement(self, [Fraction(c) for c in coords])
+        return AlgElement(self, coords)
 
     def zero(self):
         return self.element([0] * self.n)
@@ -85,12 +108,8 @@ class EtaleAlgebra:
 
     def from_poly(self, p):
         """The class of the polynomial p(X), any degree, int or Fraction
-        coefficients."""
-        acc = self.zero()
-        a = self.alpha()
-        for c in reversed(list(p)):
-            acc = acc * a + c
-        return acc
+        coefficients; the zero element for p = [] too."""
+        return self.zero() + poly_eval(p, self.alpha())
 
     def trace_table(self):
         n = self.n
@@ -98,11 +117,20 @@ class EtaleAlgebra:
 
 
 class AlgElement:
-    __slots__ = ("algebra", "coords")
+    """sum(num[i] alpha^i) / den with den > 0 and gcd(den, *num) == 1, a
+    unique form, so == and hash compare the fields.  Built from ints over
+    den, or from ints and Fractions; coords is the read-only Fraction view."""
 
-    def __init__(self, algebra, coords):
+    __slots__ = ("algebra", "num", "den")
+
+    def __init__(self, algebra, coords, den=1):
+        (num,), self.den = _lowest([coords], den)
         self.algebra = algebra
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.num = tuple(num)
+
+    @property
+    def coords(self):
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _check(self, other):
         if isinstance(other, AlgElement):
@@ -119,12 +147,14 @@ class AlgElement:
         if other is NotImplemented:
             return NotImplemented
         return AlgElement(self.algebra,
-                          [a + b for a, b in zip(self.coords, other.coords)])
+                          [a * other.den + b * self.den
+                           for a, b in zip(self.num, other.num)],
+                          self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgElement(self.algebra, [-a for a in self.coords])
+        return AlgElement(self.algebra, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
         other = self._check(other)
@@ -136,8 +166,6 @@ class AlgElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return AlgElement(self.algebra, [other * a for a in self.coords])
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
@@ -161,38 +189,23 @@ class AlgElement:
             other = self.algebra.element([other] + [0] * (self.algebra.n - 1))
         return (isinstance(other, AlgElement)
                 and self.algebra == other.algebra
-                and self.coords == other.coords)
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.algebra, self.coords))
+        return hash((self.algebra, self.num, self.den))
 
     def __repr__(self):
         return "AlgElement(%r)" % (list(self.coords),)
 
     def inverse(self):
         """The multiplicative inverse, or DomainError for a zero divisor."""
-        m = self.mult_matrix()
+        # the first row of the inverse of the multiplication matrix rows / d
+        rows, d = product_rows(self, self.algebra.alpha())
         try:
-            inv = inverse_rational(m)
+            inv = inverse_rational(rows)
         except (RankError, ZeroDivisionError):
             raise DomainError("element is not invertible")
-        return AlgElement(self.algebra, inv[0])
-
-    def mult_matrix(self):
-        """Matrix of multiplication by self on the power basis (row j =
-        coordinates of self * alpha^j)."""
-        a = self.algebra
-        n = a.n
-        rows = []
-        for j in range(n):
-            row = [Fraction(0)] * n
-            for i, c in enumerate(self.coords):
-                if c:
-                    pw = a.alpha_pows[i + j]
-                    for t in range(n):
-                        row[t] += c * pw[t]
-            rows.append(row)
-        return rows
+        return AlgElement(self.algebra, [d * c for c in inv[0]])
 
 
 def elem_mul(x, y):
@@ -200,59 +213,54 @@ def elem_mul(x, y):
         raise DomainError("algebra mismatch")
     a = x.algebra
     n = a.n
-    conv = [Fraction(0)] * (2 * n - 1)
-    for i, c in enumerate(x.coords):
+    conv = [0] * (2 * n - 1)
+    for i, c in enumerate(x.num):
         if c:
-            for j, d in enumerate(y.coords):
-                if d:
-                    conv[i + j] += c * d
-    out = [Fraction(0)] * n
-    for k, c in enumerate(conv):
+            for j, d in enumerate(y.num):
+                conv[i + j] += c * d
+    out = [0] * n
+    for c, pw in zip(conv, a.pow_table):
         if c:
-            pw = a.alpha_pows[k]
             for t in range(n):
                 out[t] += c * pw[t]
-    return AlgElement(a, out)
+    return AlgElement(a, out, x.den * y.den * a.pow_scale)
 
 
 def trace_and_norm(x):
-    m = x.mult_matrix()
-    tr = sum(m[i][i] for i in range(len(m)))
-    return Fraction(tr), det_rational(m)
+    rows, d = product_rows(x, x.algebra.alpha())
+    return (Fraction(sum(r[i] for i, r in enumerate(rows)), d),
+            Fraction(det_bareiss(rows), d ** len(rows)))
 
 
 class IdealLattice:
     """Full-rank Z-lattice in an etale algebra.
 
-    The constructing basis is kept as given (its row order matters to
-    change-of-basis witnesses); equality uses the canonical pair (d, H)
-    with d the least positive integer making d*L integral and H the HNF
-    basis of d*L.
+    The constructing basis (ints over den, or ints and Fractions) is kept
+    in its row order, which change-of-basis witnesses need, as integer rows
+    over the least positive denominator; basis is its Fraction view.
+    Equality uses the canonical pair (denominator, HNF of denominator * L).
     """
 
-    __slots__ = ("algebra", "basis", "denominator", "hnf", "_hnf_inv")
+    __slots__ = ("algebra", "rows", "denominator", "hnf")
 
-    def __init__(self, algebra, rows):
+    def __init__(self, algebra, rows, den=1):
         n = algebra.n
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError("lattice basis must be square of algebra degree")
-        basis = [[Fraction(x) for x in row] for row in rows]
-        d = _denominator(basis)
-        scaled = [[int(x * d) for x in row] for row in basis]
+        rows, den = _lowest(rows, den)
         try:
-            h, _ = hnf(scaled)
+            h, _ = hnf(rows)
         except RankError:
             raise DomainError("lattice basis is singular")
-        c = 0
-        for row in h:
-            for x in row:
-                c = gcd(c, x)
-        g = gcd(d, c)
         self.algebra = algebra
-        self.basis = [tuple(r) for r in basis]
-        self.denominator = d // g
-        self.hnf = tuple(tuple(x // g for x in row) for row in h)
-        self._hnf_inv = None
+        self.rows = rows
+        self.denominator = den
+        self.hnf = tuple(tuple(row) for row in h)
+
+    @property
+    def basis(self):
+        d = self.denominator
+        return [tuple(Fraction(x, d) for x in row) for row in self.rows]
 
     def key(self):
         return (self.algebra.key, self.denominator, self.hnf)
@@ -268,25 +276,30 @@ class IdealLattice:
                                                [list(r) for r in self.hnf])
 
     def basis_elements(self):
-        return [AlgElement(self.algebra, row) for row in self.basis]
+        return [AlgElement(self.algebra, row, self.denominator)
+                for row in self.rows]
 
     def scaled(self, kappa):
         """The lattice kappa * L, on the basis kappa * b_i."""
-        return IdealLattice(self.algebra, [list((kappa * b).coords)
-                                           for b in self.basis_elements()])
+        return IdealLattice(self.algebra,
+                            *_rows([kappa * b for b in self.basis_elements()]))
 
     def det_basis(self):
-        return det_rational([list(r) for r in self.basis])
+        return Fraction(det_bareiss(self.rows),
+                        self.denominator ** self.algebra.n)
 
     def contains(self, x):
         if x.algebra != self.algebra:
             raise DomainError("algebra mismatch")
-        if self._hnf_inv is None:
-            self._hnf_inv = inverse_rational([list(r) for r in self.hnf])
-        v = [c * self.denominator for c in x.coords]
-        w = [sum(v[i] * self._hnf_inv[i][j] for i in range(len(v)))
-             for j in range(len(v))]
-        return all(c.denominator == 1 for c in w)
+        # x is in L iff denominator * x.num = x.den * (w H) for an integer
+        # w; H is triangular, so solve for w row by row
+        v = [self.denominator * c for c in x.num]
+        for i, row in enumerate(self.hnf):
+            w, r = divmod(v[i], x.den * row[i])
+            if r:
+                return False
+            v = [a - w * x.den * b for a, b in zip(v, row)]
+        return True
 
 
 def make_lattice(algebra, rows):
@@ -344,17 +357,12 @@ def lattice_norm(l, o):
 def lattice_mul(l1, l2):
     _same_algebra(l1, l2)
     a = l1.algebra
-    n = a.n
-    prods = []
-    for x in l1.basis_elements():
-        for y in l2.basis_elements():
-            prods.append(list((x * y).coords))
-    d = _denominator(prods)
-    scaled = [[int(c * d) for c in row] for row in prods]
-    h, _, rank = hnf_lattice(scaled)
-    if rank != n:
+    rows, d = _rows([x * y for x in l1.basis_elements()
+                     for y in l2.basis_elements()])
+    h, _, rank = hnf_lattice(rows)
+    if rank != a.n:
         raise DomainError("product lattice is not full rank")
-    return IdealLattice(a, [[Fraction(x, d) for x in row] for row in h])
+    return IdealLattice(a, h, d)
 
 
 def lattice_equal(l1, l2):
@@ -416,16 +424,17 @@ def is_invertible(l, o):
 def _integer_norm_form(algebra, rows):
     # N(z1 r1 + ... + zn rn) for integer rows r_i, as an integer form in z
     n = algebra.n
-    mats = [AlgElement(algebra, row).mult_matrix() for row in rows]
-    d = _denominator([r for m in mats for r in m])
+    alpha = algebra.alpha()
+    mats = [product_rows(AlgElement(algebra, row), alpha) for row in rows]
+    d = lcm(*(dm for _, dm in mats))
     sym = [[MPoly(n) for _ in range(n)] for _ in range(n)]
-    for i, m in enumerate(mats):
+    for i, (m, dm) in enumerate(mats):
         xi = MPoly.variable(n, i)
         for r in range(n):
             for c in range(n):
-                v = m[r][c] * d
+                v = m[r][c] * (d // dm)
                 if v:
-                    sym[r][c] = sym[r][c] + int(v) * xi
+                    sym[r][c] = sym[r][c] + v * xi
     return det_cofactor(sym), d  # det(d*M) = d^n N(sum z_i r_i)
 
 
@@ -438,20 +447,17 @@ def norm_form(l, o):
     _same_algebra(l, o)
     if not is_order(o):
         raise DomainError("second argument must be an order")
-    a = l.algebra
-    n = a.n
-    d = _denominator(l.basis)
-    introws = [[int(x * d) for x in row] for row in l.basis]
-    det, dd = _integer_norm_form(a, introws)
+    n = l.algebra.n
+    det, dd = _integer_norm_form(l.algebra, l.rows)
     nu = lattice_norm(l, o)
-    scale = Fraction(1) / (Fraction(dd) ** n * Fraction(d) ** n * nu)
+    div = (dd * l.denominator) ** n * nu.numerator
     terms = {}
     for e, c in det.terms.items():
-        v = c * scale
-        if v.denominator != 1:
+        v, r = divmod(c * nu.denominator, div)
+        if r:
             raise DomainError("norm form is not integral; l is not an o-ideal")
         if v:
-            terms[e] = int(v)
+            terms[e] = v
     return DecomposableForm(n, terms)
 
 
@@ -534,9 +540,8 @@ def colon_and_kappa_search(l1, l2, bound=50):
             return kappa
     col = colon_lattice(l1, l2)
     d = col.denominator
-    introws = [list(row) for row in col.hnf]
-    det, dd = _integer_norm_form(a, introws)
-    want = ratio * Fraction(dd) ** n * Fraction(d) ** n
+    det, dd = _integer_norm_form(a, col.hnf)
+    want = ratio * (dd * d) ** n
     if want.denominator != 1:
         return None
     want = want.numerator
@@ -549,12 +554,12 @@ def colon_and_kappa_search(l1, l2, bound=50):
             if v != want and v != -want:
                 continue
             z = p + (t,)
-            kappa = AlgElement(a, [Fraction(sum(zi * row[j] for zi, row
-                                                in zip(z, introws)), d)
-                                   for j in range(n)])
+            kappa = AlgElement(a, [sum(zi * row[j]
+                                       for zi, row in zip(z, col.hnf))
+                                   for j in range(n)], d)
             if l2.scaled(kappa) == l1:
                 # -kappa works whenever kappa does; fix the sign of the
                 # first nonzero power coordinate for a deterministic answer
-                lead = next(c for c in kappa.coords if c)
+                lead = next(c for c in kappa.num if c)
                 return -kappa if lead < 0 else kappa
     return None

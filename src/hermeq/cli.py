@@ -27,14 +27,16 @@ from .intpoly import DomainError, degree, discriminant
 from .jsonio import (canonical_dumps, element_to_json, form_to_json,
                      int_list_from_json, int_to_str, lattice_to_json,
                      load_table, matrix_to_json, pair_to_json,
-                     poly_from_json, poly_to_json)
+                     poly_from_json, poly_to_json, read_int)
 from .quartic import iota, principality_evidence, verify_example
 from .reproduce import reproduce_all
 
 
 def _parse_json(text, what):
+    # integer literals are read like decimal strings: up to the input cap,
+    # not bounded by the interpreter's own digit limit
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=lambda s: read_int(s, what))
     except json.JSONDecodeError as exc:
         raise DomainError("%s is not valid JSON: %s" % (what, exc))
 

@@ -11,9 +11,8 @@
 # power lattice equals the power lattice of alpha yields a unimodular change
 # of basis carrying one form to the other.
 
-from .algebra import EtaleAlgebra, IdealLattice, lattice_change_of_basis, zeta_lattice
-from .intmat import (identity, inverse_rational, is_unimodular, left_kernel,
-                     mat_int_check, mat_mul)
+from .algebra import EtaleAlgebra, product_rows
+from .intmat import hnf_lattice, identity, is_unimodular, left_kernel, mat_mul
 from .intpoly import (DomainError, constant_term, content, degree,
                       discriminant, normalize, poly_add, poly_compose,
                       poly_divmod_exact, poly_eval, poly_mul, poly_pow,
@@ -197,12 +196,13 @@ def _charpoly(m):
     return out
 
 
-def _powers(alg, beta):
-    # coordinate rows of beta^0, ..., beta^(n-1) in the power basis
-    pows = [alg.one()]
-    for _ in range(alg.n - 1):
-        pows.append(pows[-1] * beta)
-    return [list(x.coords) for x in pows]
+def _power_basis(alg, beta):
+    # (P, P^-1) if the powers of beta are a Z-basis of the lattice the
+    # powers of alpha span, else None: the power matrix P is integral with
+    # HNF the identity, and then the HNF transform T (T P = I) is P^-1
+    p, d = product_rows(alg.one(), beta)
+    h, t, _ = hnf_lattice(p)
+    return (p, t) if d == 1 and h == identity(alg.n) else None
 
 
 class _BetaContext:
@@ -211,11 +211,12 @@ class _BetaContext:
 
     def __init__(self, alg, beta_full):
         beta = alg.from_poly(beta_full)
-        p = mat_int_check(_powers(alg, beta))
-        if not is_unimodular(p):
+        basis = _power_basis(alg, beta)
+        if basis is None:
             raise PreconditionError("powers of beta do not span Z[alpha]")
-        self.pinv = mat_int_check(inverse_rational(p))  # integral: P unimodular
-        self.minpoly = _charpoly(mat_int_check(beta.mult_matrix()))
+        self.pinv = basis[1]
+        # beta is integral (row 1 of P) and f monic: the matrix is integral
+        self.minpoly = _charpoly(product_rows(beta, alg.alpha())[0])
 
 
 def _pair_witness(ctx_i, beta_j_full):
@@ -229,7 +230,10 @@ def _pair_witness(ctx_i, beta_j_full):
 def beta_power_matrix(f, beta_full):
     """Rows = coordinates of beta^0, ..., beta^(n-1) in the power basis."""
     alg = EtaleAlgebra(f)
-    return mat_int_check(_powers(alg, alg.from_poly(beta_full)))
+    p, d = product_rows(alg.one(), alg.from_poly(beta_full))
+    if d != 1:
+        raise DomainError("powers of beta are not integral")
+    return p
 
 
 def beta_minpoly(f, beta):
@@ -245,7 +249,7 @@ def beta_minpoly(f, beta):
     alg = EtaleAlgebra(f)
     beta_el = alg.from_poly([0] + list(beta)) if len(beta) == n - 1 \
         else alg.from_poly(beta)
-    return _charpoly(mat_int_check(beta_el.mult_matrix()))
+    return _charpoly(product_rows(beta_el, alg.alpha())[0])
 
 
 def gl2_pair_test(f, beta_i, beta_j):
@@ -328,14 +332,9 @@ def hermite_witness_check(f, g, expr):
     beta = alg.from_poly(expr)
     if poly_eval(g, beta) != 0:
         raise NotARootError("expression is not a root of the target")
-    try:
-        lbeta = IdealLattice(alg, _powers(alg, beta))
-    except DomainError:
-        return None
-    top = zeta_lattice(f, n - 1, alg)
-    if lbeta != top:
-        return None
-    return lattice_change_of_basis(lbeta, top)
+    # I_f(n-1) has the identity basis, so the change of basis is P itself
+    basis = _power_basis(alg, beta)
+    return None if basis is None else basis[0]
 
 
 def reducible_pair(f):

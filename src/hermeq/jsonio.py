@@ -45,7 +45,7 @@ def int_to_str(x):
     return _unlimited(str, x)
 
 
-def _read_int(x, what):
+def read_int(x, what):
     if isinstance(x, bool):
         raise DomainError("%s must be an integer, got a boolean" % what)
     if isinstance(x, int):
@@ -65,7 +65,7 @@ def _read_int(x, what):
 def int_list_from_json(obj, what="list"):
     if not isinstance(obj, list):
         raise DomainError("%s must be a JSON array" % what)
-    return [_read_int(x, what + " entry") for x in obj]
+    return [read_int(x, what + " entry") for x in obj]
 
 
 def poly_to_json(f):

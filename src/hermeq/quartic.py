@@ -14,7 +14,7 @@
 # the action moves by a plain variable substitution.
 
 from .intmat import mat_mul, transpose, is_unimodular, mat_dims
-from .intpoly import DomainError, normalize, degree, discriminant
+from .intpoly import DomainError, normalize, degree, discriminant, poly_mul
 from .algebra import EtaleAlgebra, zeta_lattice, colon_and_kappa_search
 from .primes import is_squarefree
 
@@ -91,14 +91,6 @@ def act(pair, gamma, m):
     return QuarticPair(na, nb)
 
 
-def _hmul(u, v):
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        for j, b in enumerate(v):
-            out[i + j] += a * b
-    return out
-
-
 def resolvent_cubic(pair):
     """Coefficients [e0, e1, e2, e3] of the binary cubic det(dA x - dB y) / 2.
 
@@ -114,9 +106,9 @@ def resolvent_cubic(pair):
     total = [0, 0, 0, 0]
     for (i, j, k), sign in ((( 0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
                             ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1)):
-        term = _hmul(_hmul(e[0][i], e[1][j]), e[2][k])
-        for t in range(4):
-            total[t] += sign * term[t]
+        term = poly_mul(poly_mul(e[0][i], e[1][j]), e[2][k])
+        for t, c in enumerate(term):  # poly_mul strips trailing zeros
+            total[t] += sign * c
     for t in range(4):
         if total[t] % 2:
             raise DomainError("pencil determinant of a doubled pair is even")

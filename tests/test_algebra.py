@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -56,6 +57,55 @@ def test_elem_mul_reducible():
     a = EtaleAlgebra([0, -2, 0, 1])
     al = a.alpha()
     assert al * (al * al) == 2 * al
+
+
+def rem_reference(p, g):
+    # the coordinates of p(alpha): the remainder of p modulo g over Q
+    n = len(g) - 1
+    r = [Fraction(c) for c in p] + [Fraction(0)] * n
+    for k in range(len(r) - 1, n - 1, -1):
+        q = r[k] / g[-1]
+        for i in range(n + 1):
+            r[k - n + i] -= q * g[i]
+    return tuple(r[:n])
+
+
+def test_elem_mul_and_from_poly_match_polynomial_remainder():
+    rng = random.Random(113)
+    algebras = [[0, -2, 0, 1], [0, 6, 0, -6, 0, 3]]  # reducible
+    for n in range(2, 7):
+        for lead in (1, 2, -3, 5, 6, -6):
+            while True:
+                g = [rng.randint(-7, 7) for _ in range(n)] + [lead]
+                if intpoly.discriminant(g) != 0:
+                    break
+            algebras.append(g)
+    rand = lambda m: [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                      for _ in range(m)]
+    for g in algebras:
+        a = EtaleAlgebra(g)
+        n = a.n
+        for _ in range(3):
+            x, y = rand(n), rand(n)
+            xy = [sum(x[i] * y[k - i] for i in range(n) if 0 <= k - i < n)
+                  for k in range(2 * n - 1)]
+            p = rand(rng.randint(2 * n, 3 * n))  # degree >= 2n - 1
+            for got, want in ((elem_mul(a.element(x), a.element(y)), xy),
+                              (a.from_poly(p), p)):
+                assert got.coords == rem_reference(want, g), g
+                assert got.den > 0 and gcd(got.den, *got.num) == 1
+
+
+def test_equal_elements_from_different_inputs_are_equal():
+    a = EtaleAlgebra(CUBIC)
+    forms = [a.element([Fraction(1, 2), 1, Fraction(-4, 3)]),
+             a.element([Fraction(3, 6), Fraction(5, 5), Fraction(-8, 6)]),
+             AlgElement(a, [3, 6, -8], 6),
+             AlgElement(a, [Fraction(3, 2), 3, -4], 3),
+             a.element([1, 2, Fraction(-8, 3)]) * Fraction(1, 2)]
+    for x in forms:
+        assert x == forms[0] and hash(x) == hash(forms[0])
+        assert (x.num, x.den) == ((3, 6, -8), 6)
 
 
 def test_elem_mul_algebra_mismatch():

@@ -245,3 +245,18 @@ def test_usage_error_exit_code():
         [sys.executable, "-m", "hermeq.cli", "no-such-command"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def test_long_json_numbers_read_in_full_up_to_the_cap(capsys):
+    # the same bounds as decimal strings: read in full past Python's
+    # 4300-digit limit, refused one digit over the input cap
+    code, out, _ = run(capsys, "disc", "--poly",
+                       "[-1" + "0" * 4999 + "7,0,1]")
+    assert code == 0
+    assert _parse_long_int(json.loads(out)["discriminant"]) == (
+        4 * (10 ** 5000 + 7))
+    code, out, err = run(capsys, "disc", "--poly",
+                         "[1,0," + "7" * (MAX_INPUT_DIGITS + 1) + "]")
+    assert code == 2
+    assert out == ""
+    assert str(MAX_INPUT_DIGITS) in err and "cap" in err

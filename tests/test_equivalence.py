@@ -5,11 +5,13 @@ import sympy
 
 from hermeq.equivalence import (ContentMismatchError, DegenerateSystemError,
                                 DegreeDropError, NotARootError,
-                                PreconditionError, _charpoly, _solve_33,
+                                PreconditionError, _charpoly, _power_basis,
+                                _solve_33,
                                 beta_minpoly,
                                 beta_power_matrix, gl2_act, gl2_pair_test,
                                 gl2_witness_solve, hermite_witness_check,
                                 partition_gl2, reducible_pair, z_equiv_test)
+from hermeq.algebra import EtaleAlgebra
 from hermeq.intmat import det_bareiss, identity, mat_mul
 from hermeq.intpoly import DomainError, discriminant, normalize, poly_scale
 
@@ -227,6 +229,20 @@ def test_beta_power_matrix_unimodular_for_generators():
     for b in QUARTIC_BETAS:
         p = beta_power_matrix(QUARTIC, [0] + list(b))
         assert det_bareiss(p) in (1, -1)
+
+
+def test_power_basis_test():
+    # None for fractional powers, a singular power matrix and a
+    # non-unimodular one; (P, P^-1) for a generator
+    a = EtaleAlgebra([1, 1, 2])  # alpha^2 = (-1 - alpha) / 2
+    assert _power_basis(a, a.alpha() * a.alpha()) is None
+    q = EtaleAlgebra(QUARTIC)
+    assert _power_basis(q, q.zero()) is None
+    assert _power_basis(q, 2 * q.alpha()) is None
+    for b in QUARTIC_BETAS:
+        p, pinv = _power_basis(q, q.from_poly([0] + list(b)))
+        assert p == beta_power_matrix(QUARTIC, [0] + list(b))
+        assert mat_mul(p, pinv) == identity(4)
 
 
 def test_pair_test_rejects_non_generator():
