@@ -9,23 +9,22 @@ from itertools import product
 from math import gcd, isqrt, lcm
 
 from .forms import MPoly, DecomposableForm
-from .intmat import (det_bareiss, det_cofactor, det_rational, hnf,
-                     hnf_lattice, inverse_rational, is_unimodular,
-                     mat_int_check, mat_mul, RankError)
+from .intmat import (adjugate, common_denominator, det_bareiss, det_cofactor,
+                     hnf, hnf_lattice, inverse_rational, is_unimodular,
+                     mat_int_check, mat_mul, transpose, RankError)
 from .intpoly import (DomainError, degree, discriminant, normalize,
-                      poly_eval, power_sums, primitive_part)
+                      poly_eval, primitive_part, scaled_power_sums)
 
 
 def _lowest(rows, den=1):
-    # rows of ints over den > 0, or of ints and Fractions (den 1), as
+    # rows of ints over a nonzero den, or of ints and Fractions (den 1), as
     # integer rows over their least positive denominator
     if any(type(x) is not int for row in rows for x in row):
-        rows = [[Fraction(x) for x in row] for row in rows]
-        m = lcm(*(x.denominator for row in rows for x in row))
-        rows = [[x.numerator * (m // x.denominator) for x in row]
-                for row in rows]
+        rows, m = common_denominator(rows)
         den *= m
     g = gcd(den, *(x for row in rows for x in row))
+    if den < 0:
+        g = -g
     return [[x // g for x in row] for row in rows], den // g
 
 
@@ -80,8 +79,6 @@ class EtaleAlgebra:
                 raise AssertionError("power table not integral")
             pows.append([a - q * c for a, c in zip([0] + prev[:-1], g)])
         self.pow_table = pows
-        # traces of alpha^k, k = 0 .. 2n-2 (power sums of the roots of g)
-        self.traces = power_sums(g, 2 * n - 2)
 
     def __eq__(self, other):
         return isinstance(other, EtaleAlgebra) and self.key == other.key
@@ -110,10 +107,6 @@ class EtaleAlgebra:
         """The class of the polynomial p(X), any degree, int or Fraction
         coefficients; the zero element for p = [] too."""
         return self.zero() + poly_eval(p, self.alpha())
-
-    def trace_table(self):
-        n = self.n
-        return [[self.traces[i + j] for j in range(n)] for i in range(n)]
 
 
 class AlgElement:
@@ -199,13 +192,12 @@ class AlgElement:
 
     def inverse(self):
         """The multiplicative inverse, or DomainError for a zero divisor."""
-        # the first row of the inverse of the multiplication matrix rows / d
-        rows, d = product_rows(self, self.algebra.alpha())
-        try:
-            inv = inverse_rational(rows)
-        except (RankError, ZeroDivisionError):
+        # the first row of the inverse of the multiplication matrix m / d
+        m, d = product_rows(self, self.algebra.alpha())
+        det = det_bareiss(m)
+        if det == 0:
             raise DomainError("element is not invertible")
-        return AlgElement(self.algebra, [d * c for c in inv[0]])
+        return AlgElement(self.algebra, [d * c for c in adjugate(m)[0]], det)
 
 
 def elem_mul(x, y):
@@ -375,19 +367,33 @@ def lattice_change_of_basis(l1, l2):
     _same_algebra(l1, l2)
     if l1 != l2:
         return None
-    b2inv = inverse_rational([list(r) for r in l2.basis])
-    u = mat_int_check(mat_mul([list(r) for r in l1.basis], b2inv))
+    u = mat_int_check(mat_mul(l1.basis, inverse_rational(l2.basis)))
     assert is_unimodular(u)
     return u
 
 
+def _gram(l):
+    """(G, s): the trace form Tr(b_i b_j) on the stored basis of l is G / s,
+    G an integer matrix and s > 0."""
+    g, n = l.algebra.poly, l.algebra.n
+    f0 = g[-1]
+    # q_k = f0^k Tr(alpha^k), so scaling column a of the rows by
+    # f0^(n-1-a) makes every entry of C Q C^T carry f0^(2n-2)
+    q = scaled_power_sums(g, 2 * n - 2)
+    c = [[x * f0 ** (n - 1 - a) for a, x in enumerate(row)] for row in l.rows]
+    hankel = [q[i:i + n] for i in range(n)]
+    return (mat_mul(mat_mul(c, hankel), transpose(c)),
+            f0 ** (2 * n - 2) * l.denominator ** 2)
+
+
 def dual_lattice(l):
-    """Trace-form dual {x : Tr(x L) in Z}."""
-    b = [list(r) for r in l.basis]
-    t = l.algebra.trace_table()
-    gram = mat_mul(mat_mul(b, t), [list(col) for col in zip(*b)])
-    dual_rows = mat_mul(inverse_rational(gram), b)
-    return IdealLattice(l.algebra, dual_rows)
+    """Trace-form dual {x : Tr(x L) in Z}, on the basis dual to that of l."""
+    gram, s = _gram(l)
+    # the dual basis is (G / s)^-1 b = s adj(G) rows / (det(G) denominator)
+    return IdealLattice(l.algebra,
+                        mat_mul(adjugate(gram), [[s * x for x in r]
+                                                 for r in l.rows]),
+                        det_bareiss(gram) * l.denominator)
 
 
 def colon_lattice(l1, l2):
@@ -403,9 +409,8 @@ def endo_ring(l):
 
 def trace_form_disc(l):
     """det(Tr(b_i b_j)) over the stored basis of l; rational in general."""
-    b = [list(r) for r in l.basis]
-    t = l.algebra.trace_table()
-    return det_rational(mat_mul(mat_mul(b, t), [list(col) for col in zip(*b)]))
+    gram, s = _gram(l)
+    return Fraction(det_bareiss(gram), s ** l.algebra.n)
 
 
 def is_order(o):

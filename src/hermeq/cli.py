@@ -41,6 +41,14 @@ def _parse_json(text, what):
         raise DomainError("%s is not valid JSON: %s" % (what, exc))
 
 
+def _int_flag(text):
+    # integer flags are read like JSON integers: in full up to the input cap
+    try:
+        return read_int(text, "value")
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _poly_arg(text):
     obj = _parse_json(text, "polynomial")
     if isinstance(obj, list):
@@ -241,7 +249,7 @@ def _build_parser():
     p = add("normform", _cmd_normform,
             "norm form of the k-th invariant lattice")
     p.add_argument("--poly", required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_int_flag, default=None)
 
     p = add("check-z", _cmd_check_z,
             "translation equivalence of two monic polynomials")
@@ -272,17 +280,17 @@ def _build_parser():
     fsub = fam.add_subparsers(dest="family_command", required=True)
     p = fsub.add_parser("kit", help="series truncation kit for degree n")
     p.set_defaults(handler=_cmd_family_kit)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
     p = fsub.add_parser("find-params", help="smallest usable parameters")
     p.set_defaults(handler=_cmd_family_find_params)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
     p.add_argument("--monic", action="store_true")
     p = fsub.add_parser("gen", help="generate a certified pair")
     p.set_defaults(handler=_cmd_family_gen)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
     p.add_argument("--monic", action="store_true")
-    p.add_argument("--c", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--c", type=_int_flag, default=None)
+    p.add_argument("--t", type=_int_flag, default=None)
     p.add_argument("--out", default=None)
 
     qua = sub.add_parser("quartic", help="pairs of ternary quadratic forms")
@@ -297,11 +305,11 @@ def _build_parser():
                              "invariant lattice")
     p.set_defaults(handler=_cmd_quartic_principal)
     p.add_argument("--poly", required=True)
-    p.add_argument("--bound", type=int, default=16)
+    p.add_argument("--bound", type=_int_flag, default=16)
 
     p = add("bounds", _cmd_bounds, "effective bound report")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--disc", type=int, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
+    p.add_argument("--disc", type=_int_flag, required=True)
     p.add_argument("--monic", action="store_true")
 
     p = add("reproduce-all", _cmd_reproduce_all,

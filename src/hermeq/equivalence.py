@@ -14,9 +14,9 @@
 from .algebra import EtaleAlgebra, product_rows
 from .intmat import hnf_lattice, identity, is_unimodular, left_kernel, mat_mul
 from .intpoly import (DomainError, constant_term, content, degree,
-                      discriminant, normalize, poly_add, poly_compose,
-                      poly_divmod_exact, poly_eval, poly_mul, poly_pow,
-                      poly_scale, poly_shift, reverse)
+                      discriminant, leading, normalize, poly_add,
+                      poly_compose, poly_divmod_exact, poly_eval, poly_mul,
+                      poly_pow, poly_scale, poly_shift, reverse)
 
 
 class DegreeDropError(DomainError):
@@ -244,7 +244,7 @@ def beta_minpoly(f, beta):
     """
     f = normalize(f)
     n = degree(f)
-    if f[-1] != 1:
+    if leading(f) != 1:
         raise DomainError("needs a monic polynomial")
     alg = EtaleAlgebra(f)
     beta_el = alg.from_poly([0] + list(beta)) if len(beta) == n - 1 \
@@ -261,7 +261,7 @@ def gl2_pair_test(f, beta_i, beta_j):
     is solved against the minimal polynomial of beta_i.
     """
     f = normalize(f)
-    if f[-1] != 1:
+    if leading(f) != 1:
         raise DomainError("pair test needs a monic polynomial")
     ctx = _BetaContext(EtaleAlgebra(f), [0] + list(beta_i))
     return _pair_witness(ctx, [0] + list(beta_j))
@@ -276,7 +276,7 @@ def partition_gl2(f, betas):
     does not depend on the input order beyond the indexing itself.
     """
     f = normalize(f)
-    if f[-1] != 1:
+    if leading(f) != 1:
         raise DomainError("partition needs a monic polynomial")
     alg = EtaleAlgebra(f)
     ctxs = [_BetaContext(alg, [0] + list(b)) for b in betas]

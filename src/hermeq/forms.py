@@ -9,11 +9,9 @@
 # substitutions, and produces the n x n transfer matrix t(gamma) through
 # which a 2x2 substitution on f acts on [f].
 
-from fractions import Fraction
-
-from .intmat import det_bareiss, det_rational, is_unimodular, mat_dims
+from .intmat import det_bareiss, is_unimodular, mat_dims
 from .intpoly import (DomainError, degree, discriminant, normalize,
-                      poly_mul, poly_pow, power_sums)
+                      poly_mul, poly_pow, scaled_power_sums)
 
 
 class MPoly:
@@ -303,7 +301,9 @@ def verify_disc_identity(f):
 
     The left side is the discriminant of [f] computed through the trace
     form of Q[X]/(f); the right side is the resultant route.  Equality is
-    the invariance statement tying the form to its polynomial.
+    the invariance statement tying the form to its polynomial.  It is
+    checked in integers: with q_k = f0^k Tr(alpha^k), det(q_(i+j)) =
+    f0^(n(n-1)) det(Tr(alpha^(i+j))) = f0^((n-1)(n-2)) D(f).
     """
     f = normalize(f)
     n = degree(f)
@@ -312,7 +312,6 @@ def verify_disc_identity(f):
     d = discriminant(f)
     if d == 0:
         raise DomainError("discriminant is zero (not squarefree)")
-    ps = power_sums(f, 2 * n - 2)
-    tr = [[ps[i + j] for j in range(n)] for i in range(n)]
-    lhs = Fraction(f[-1]) ** (2 * (n - 1)) * det_rational(tr)
-    return lhs == d
+    q = scaled_power_sums(f, 2 * n - 2)
+    return (det_bareiss([q[i:i + n] for i in range(n)])
+            == f[-1] ** ((n - 1) * (n - 2)) * d)

@@ -1,11 +1,12 @@
 # Exact dense matrix kernels: fraction-free determinants, row-style Hermite
-# normal form with transformation matrix, integer kernels, rational inverses.
+# normal form with transformation matrix, integer kernels, adjugates.
 #
 # Matrices are lists of row lists.  Nothing here is optimized for size; every
 # matrix in this package is tiny (dimension at most a few dozen) and the only
 # thing that matters is exactness.
 
 from fractions import Fraction
+from math import lcm
 
 
 class DimensionError(ValueError):
@@ -64,11 +65,8 @@ def vec_mat(v, m):
 
 
 def det_bareiss(m):
-    """Exact determinant by fraction-free Bareiss elimination.
-
-    Works over the integers without introducing fractions; also accepts
-    Fraction entries (the pivoting divisions stay exact either way).
-    """
+    """Exact determinant of an integer matrix by fraction-free Bareiss
+    elimination; every division it makes is exact."""
     r, c = mat_dims(m)
     if r != c:
         raise DimensionError("determinant needs a square matrix")
@@ -89,14 +87,10 @@ def det_bareiss(m):
                 return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                if isinstance(num, int) and isinstance(prev, int):
-                    q, rem = divmod(num, prev)
-                    if rem:
-                        raise AssertionError("Bareiss division not exact")
-                    a[i][j] = q
-                else:
-                    a[i][j] = num / prev
+                q, rem = divmod(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+                if rem:
+                    raise AssertionError("Bareiss division not exact")
+                a[i][j] = q
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
@@ -127,13 +121,26 @@ def det_cofactor(m):
     return total
 
 
+def common_denominator(m):
+    """(a, d): the integer matrix a and least d > 0 with m = a / d, for a
+    matrix m of ints and Fractions."""
+    m = [[Fraction(x) for x in row] for row in m]
+    d = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+
+
 def det_rational(m):
     """Determinant of a matrix with Fraction (or int) entries."""
-    r, c = mat_dims(m)
-    if r != c:
-        raise DimensionError("determinant needs a square matrix")
-    a = [[Fraction(x) for x in row] for row in m]
-    return Fraction(det_bareiss(a))
+    a, d = common_denominator(m)
+    return Fraction(det_bareiss(a), d ** len(a))
+
+
+def adjugate(m):
+    """The integer adjugate adj(m), so m adj(m) = adj(m) m = det(m) I."""
+    n = len(m)
+    return [[(-1) ** (i + j) * det_bareiss([r[:i] + r[i + 1:] for k, r in
+                                            enumerate(m) if k != j])
+             for j in range(n)] for i in range(n)]
 
 
 def _hnf_echelon(m):
@@ -230,28 +237,11 @@ def left_kernel(m):
 
 def inverse_rational(m):
     """Exact inverse with Fraction entries; RankError if singular."""
-    r, c = mat_dims(m)
-    if r != c:
-        raise DimensionError("inverse needs a square matrix")
-    n = r
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise RankError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
+    a, d = common_denominator(m)
+    det = det_bareiss(a)
+    if det == 0:
+        raise RankError("singular matrix")
+    return [[Fraction(d * x, det) for x in row] for row in adjugate(a)]
 
 
 def is_unimodular(m):
@@ -263,13 +253,7 @@ def is_unimodular(m):
 
 def mat_int_check(m):
     """Cast a Fraction matrix to int entries; ValueError on non-integers."""
-    out = []
-    for row in m:
-        orow = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError("non-integer entry")
-            orow.append(int(f))
-        out.append(orow)
-    return out
+    a, d = common_denominator(m)
+    if d != 1:
+        raise ValueError("non-integer entry")
+    return a

@@ -3,7 +3,8 @@
 # A polynomial is a list of coefficients in ascending order: p[i] is the
 # coefficient of X^i.  The zero polynomial is the empty list.  Trailing
 # (high-order) zeros are never stored; normalize() strips them.  Coefficients
-# are ints unless stated otherwise (a few helpers accept Fractions).
+# are ints, or ring elements where a docstring says so; power_sums alone
+# returns Fractions, a view of the integers of scaled_power_sums.
 
 from fractions import Fraction
 from math import gcd
@@ -232,31 +233,34 @@ def discriminant(f):
     return num // f0
 
 
-def power_sums(f, m):
-    """Sums of k-th powers of the roots of f, k = 0..m, as Fractions.
+def scaled_power_sums(f, m):
+    """The integers f0^k p_k, k = 0..m, with p_k the sum of the k-th powers
+    of the roots of f and f0 its leading coefficient.
 
-    Newton's identities in terms of the coefficients; no root extraction.
-    These are the traces of alpha^k in Q[X]/(f) when f is squarefree.
+    f0 times a root of f is a root of the monic integer polynomial
+    f0^(n-1) f(Y/f0), so Newton's identities on it need no division.
     """
     f = normalize(f)
     n = degree(f)
     if n < 1:
         raise DomainError("power sums need degree >= 1")
-    f0 = Fraction(f[-1])
-    # e[j] = coefficient of X^(n-j), the paper-style descending index
-    e = [Fraction(f[n - j]) for j in range(n + 1)]
-    ps = [Fraction(n)]
+    # e[j] = coefficient of Y^(n-j) in f0^(n-1) f(Y/f0), zero past j = n
+    e = [0] + [f[n - j] * f[-1] ** (j - 1) for j in range(1, n + 1)] + [0] * m
+    qs = [n]
     for k in range(1, m + 1):
-        if k <= n:
-            acc = k * e[k]
-            for i in range(1, k):
-                acc += e[i] * ps[k - i]
-        else:
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                acc += e[i] * ps[k - i]
-        ps.append(-acc / f0)
-    return ps
+        qs.append(-k * e[k] - sum(e[i] * qs[k - i]
+                                  for i in range(1, min(k, n + 1))))
+    return qs
+
+
+def power_sums(f, m):
+    """Sums of k-th powers of the roots of f, k = 0..m, as Fractions.
+
+    These are the traces of alpha^k in Q[X]/(f) when f is squarefree.
+    """
+    qs = scaled_power_sums(f, m)
+    f0 = normalize(f)[-1]
+    return [Fraction(q, f0 ** k) for k, q in enumerate(qs)]
 
 
 def roots_mod_p(f, p):

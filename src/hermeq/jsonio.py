@@ -58,7 +58,7 @@ def read_int(x, what):
                 raise DomainError("%s has %d digits, over the cap of %d"
                                   % (what, len(body), MAX_INPUT_DIGITS))
             return _unlimited(int, s, 10)
-    raise DomainError("%s must be an integer or decimal string, got %r"
+    raise DomainError("%s must be an integer or decimal string, got %.40r"
                       % (what, x))
 
 

@@ -307,6 +307,53 @@ def test_dual_of_dual():
         assert dual_lattice(dual_lattice(l)) == l
 
 
+def test_integer_trace_form_matches_multiplication_matrix_traces():
+    # trace_and_norm reads the trace off the diagonal of the multiplication
+    # matrix, so this route never touches power sums
+    import sympy
+
+    rng = random.Random(131)
+    algebras = [[0, -2, 0, 1]]  # X^3 - 2X, reducible
+    for n in range(2, 7):
+        for lead in (1, 2, -3, 5, -6):
+            while True:
+                g = [rng.randint(-7, 7) for _ in range(n)] + [lead]
+                if intpoly.discriminant(g) != 0:
+                    break
+            algebras.append(g)
+    for g in algebras:
+        a = EtaleAlgebra(g)
+        n = a.n
+        tr = lambda x: trace_and_norm(x)[0]
+        q = intpoly.scaled_power_sums(g, 2 * n - 2)
+        ps = intpoly.power_sums(g, 2 * n - 2)
+        for k in range(2 * n - 1):
+            assert type(q[k]) is int
+            assert q[k] == g[-1] ** k * ps[k] == g[-1] ** k * tr(a.alpha() ** k)
+        lattices = [zeta_lattice(g, rng.randrange(n), a)]
+        while len(lattices) < 3:
+            rows = [[Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
+                     for _ in range(n)] for _ in range(n)]
+            try:
+                lattices.append(make_lattice(a, rows))
+            except DomainError:
+                pass
+        for l in lattices:
+            b = l.basis_elements()
+            gram = [[tr(x * y) for y in b] for x in b]
+            assert trace_form_disc(l) == sympy.Matrix(gram).det()
+            d = dual_lattice(l).basis_elements()
+            assert [[tr(x * y) for y in b] for x in d] == \
+                [[int(i == j) for j in range(n)] for i in range(n)]
+            for x in b:
+                try:
+                    assert x * x.inverse() == 1
+                except DomainError:
+                    assert trace_and_norm(x)[1] == 0  # a zero divisor
+    with pytest.raises(DomainError):  # X^3 + X: alpha (alpha^2 + 1) = 0
+        EtaleAlgebra([0, 1, 0, 1]).alpha().inverse()
+
+
 def test_norm_form_quadratics():
     a = EtaleAlgebra(GAUSS)
     u = unit_lattice(a)

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from importlib import resources
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermeq.cli import main
 from hermeq.jsonio import MAX_INPUT_DIGITS
@@ -260,3 +266,108 @@ def test_long_json_numbers_read_in_full_up_to_the_cap(capsys):
     assert code == 2
     assert out == ""
     assert str(MAX_INPUT_DIGITS) in err and "cap" in err
+
+
+def test_integer_flags_read_in_full_up_to_the_cap(capsys):
+    sevens = "7" * 5000  # past Python's 4300-digit limit
+    code, out, err = run(capsys, "bounds", "--n", "3", "--disc", sevens)
+    assert code == 0 and err == ""
+    assert json.loads(out)["D"] == sevens
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--n", "3", "--disc", "7" * (MAX_INPUT_DIGITS + 1)])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert str(MAX_INPUT_DIGITS) in err and "cap" in err and len(err) < 1000
+    # a long malformed value is not echoed in full either
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--n", "3", "--disc", "7" * MAX_INPUT_DIGITS + "x"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and len(err) < 1000
+
+
+# Generated command lines for the cheap subcommands: mostly well-formed
+# polynomials (often monic, often with a translate as the second input),
+# plus malformed JSON, booleans, floats, nested arrays, and missing and
+# stray flags.
+_coeff = st.one_of(st.integers(-30, 30), st.integers(-10 ** 30, 10 ** 30))
+# degree 2 to 5; most pair tests need a monic polynomial
+_poly = st.builds(lambda c, lead: c + [lead],
+                  st.lists(_coeff, min_size=2, max_size=5),
+                  st.sampled_from([1, 2, 1, 0, 1, -3, 5, -1, 1]))
+_junk = st.one_of(st.booleans(), st.floats(), st.none(), st.text(max_size=4),
+                  st.lists(st.integers(-3, 3), max_size=2))
+_junk_text = st.one_of(
+    st.lists(st.one_of(_coeff, _junk), max_size=7).map(json.dumps),
+    _junk.map(json.dumps), st.text(max_size=8))
+_SUBCOMMANDS = {
+    "disc": ["--poly"], "form": ["--poly"], "order": ["--poly"],
+    "normform": ["--poly", "--k"], "check-z": ["--poly", "--other"],
+    "check-gl2": ["--poly", "--beta", "--target"],
+    "check-hermite": ["--poly", "--other", "--expr"],
+    "bounds": ["--n", "--disc", "--monic"],
+}
+
+
+def _translate(f, a):
+    # the coefficients of f(X + a), by Horner
+    out = []
+    for c in reversed(f):
+        out = [x + a * y for x, y in zip([0] + out, out + [0])]
+        out[0] += c
+    return out
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    f = draw(_poly)
+    a = draw(st.integers(-3, 3))
+    # (b_1, ..., b_(n-1)) of beta = b_1 alpha + ...; b_1 = +-1 often
+    # makes beta generate Z[alpha]
+    betas = st.builds(lambda b, rest: [b] + rest,
+                      st.sampled_from([1, -1, 2, 0, 1]),
+                      st.lists(st.integers(-3, 3), min_size=len(f) - 3,
+                               max_size=len(f) - 3))
+    beta = draw(betas)
+    values = {
+        "--poly": json.dumps(f),
+        "--other": json.dumps(draw(st.one_of(st.just(_translate(f, a)),
+                                             _poly))),
+        "--expr": json.dumps([-a, 1]),
+        "--beta": json.dumps(beta),
+        "--target": json.dumps(draw(st.one_of(st.just(beta), betas))),
+        "--k": str(draw(st.integers(-1, 5))),
+        "--n": str(draw(st.sampled_from(range(8, -2, -1)))),
+        "--disc": str(draw(st.one_of(st.integers(1, 10 ** 6),
+                                     st.integers(-10 ** 6, 0)))),
+    }
+    argv = [command]
+    for flag in _SUBCOMMANDS[command]:
+        kind = draw(st.integers(0, 99))
+        if kind >= 95:
+            continue  # a missing flag, required or not
+        argv.append(flag)
+        if flag != "--monic":
+            argv.append(values[flag] if kind < 80 else draw(_junk_text))
+    if draw(st.integers(0, 99)) >= 95:
+        argv.append(draw(st.sampled_from(["--poly", "--bogus", "[1,0,1]"])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_argv())
+def test_generated_command_lines_keep_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code in (0, 1):
+        assert out.getvalue().endswith("\n")
+        json.loads(out.getvalue())  # exactly one JSON document
+    else:
+        assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()

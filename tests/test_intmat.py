@@ -196,6 +196,20 @@ def test_inverse_rational():
         )
 
 
+def test_adjugate_gives_det_times_identity():
+    rng = random.Random(23)
+    for n in range(1, 7):
+        for t in range(6):
+            m = rand_mat(rng, n, n)
+            if t < 2:  # singular: the last row repeats a row, or is zero
+                m[-1] = list(m[0]) if n > 1 and t == 0 else [0] * n
+            adj = intmat.adjugate(m)
+            d = det_cofactor(m)
+            want = [[d * (i == j) for j in range(n)] for i in range(n)]
+            assert intmat.mat_mul(m, adj) == want
+            assert intmat.mat_mul(adj, m) == want
+
+
 def test_inverse_singular_raises():
     with pytest.raises(intmat.RankError):
         intmat.inverse_rational([[1, 2], [2, 4]])
