@@ -5,13 +5,15 @@
 # throughout, with element inversion the one operation that can refuse.
 
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import groupby, product
 from math import gcd, isqrt, lcm
 
 from .forms import MPoly, DecomposableForm
-from .intmat import (adjugate, common_denominator, det_bareiss, det_cofactor,
-                     hnf, hnf_lattice, inverse_rational, is_unimodular,
-                     mat_int_check, mat_mul, transpose, RankError)
+from .intmat import (adjugate_solve, common_denominator, det_bareiss,
+                     det_cofactor, hnf, hnf_lattice, inverse_rational,
+                     is_unimodular, mat_int_check, mat_mul, transpose,
+                     RankError)
 from .intpoly import (DomainError, degree, discriminant, normalize,
                       poly_eval, primitive_part, scaled_power_sums)
 
@@ -192,12 +194,14 @@ class AlgElement:
 
     def inverse(self):
         """The multiplicative inverse, or DomainError for a zero divisor."""
-        # the first row of the inverse of the multiplication matrix m / d
+        # the first row of the inverse of the multiplication matrix m / d,
+        # that is d adj(m^T) e_0 / det(m)
         m, d = product_rows(self, self.algebra.alpha())
-        det = det_bareiss(m)
+        det, col = adjugate_solve(transpose(m),
+                                  [[d * (i == 0)] for i in range(len(m))])
         if det == 0:
             raise DomainError("element is not invertible")
-        return AlgElement(self.algebra, [d * c for c in adjugate(m)[0]], det)
+        return AlgElement(self.algebra, [c for c, in col], det)
 
 
 def elem_mul(x, y):
@@ -390,10 +394,8 @@ def dual_lattice(l):
     """Trace-form dual {x : Tr(x L) in Z}, on the basis dual to that of l."""
     gram, s = _gram(l)
     # the dual basis is (G / s)^-1 b = s adj(G) rows / (det(G) denominator)
-    return IdealLattice(l.algebra,
-                        mat_mul(adjugate(gram), [[s * x for x in r]
-                                                 for r in l.rows]),
-                        det_bareiss(gram) * l.denominator)
+    det, rows = adjugate_solve(gram, [[s * x for x in r] for r in l.rows])
+    return IdealLattice(l.algebra, rows, det * l.denominator)
 
 
 def colon_lattice(l1, l2):
@@ -499,22 +501,66 @@ def _lines(n, bound):
                 yield p, (s,)
 
 
-def _compile_lines(p):
-    """Compile an MPoly p in z_0..z_{n-1} into two positional lambdas: the
-    coefficients of p in t = z_{n-1} (highest first) as a function of
-    z_0..z_{n-2}, and p at each t of a line by Horner on them."""
-    names = ["z%d" % i for i in range(p.nvars - 1)]
-    parts = [[] for _ in range(1 + max((e[-1] for e in p.terms), default=0))]
-    for e, c in sorted(p.terms.items()):
-        mono = "".join("*" + nm for nm, k in zip(names, e) for _ in range(k))
-        parts[e[-1]].append("(%d)%s" % (c, mono))
-    body = ", ".join(" + ".join(q) or "0" for q in reversed(parts))
-    cs = ["c%d" % k for k in range(len(parts))]
-    horner = "c0"
-    for c in cs[1:]:
-        horner = "(%s)*t + %s" % (horner, c)
-    return (eval("lambda %s: (%s,)" % (", ".join(names), body)),
-            eval("lambda ts, %s: [%s for t in ts]" % (", ".join(cs), horner)))
+def _exponents(nvars, deg):
+    # the exponent vectors of total degree deg in nvars variables
+    if nvars == 1:
+        return [(deg,)]
+    return [(k,) + e for k in range(deg + 1)
+            for e in _exponents(nvars - 1, deg - k)]
+
+
+@lru_cache(maxsize=None)
+def _evaluators(n):
+    """(monos, head, block, line): exact evaluators of a form of degree n in
+    z_0..z_{n-1}, given as its coefficient vector C on the monomials monos.
+
+    With u = z_{n-2} and t = z_{n-1}, head(C, z_0, ..., z_{n-3}) gives the
+    coefficients a of the form as a polynomial in (u, t); line(a, u, ts) is
+    the list of its values at (u, t) for t in ts, by Horner in u and then
+    in t, and block(a, lines) is the set of those values over every line
+    (prefix, ts) of _lines, u = prefix[-1], sharing that head.  The
+    monomials depend only on n, so the code is compiled once per degree.
+    """
+    monos = tuple(_exponents(n, n))
+    zs = ["z%d" % i for i in range(n - 2)]
+    # a[k] is the coefficient of u^i t^j, (j, i) = pairs[k], t-degree first
+    pairs = [(j, i) for j in range(n, -1, -1) for i in range(n - j, -1, -1)]
+    parts = {pr: [] for pr in pairs}
+    for k, e in enumerate(monos):
+        mono = "".join("*" + z for z, m in zip(zs, e) for _ in range(m))
+        parts[e[-1], e[-2]].append("C[%d]%s" % (k, mono))
+    names = ["a%d" % k for k in range(len(pairs))]
+    coeffs = []  # c_j(u), j = n .. 0, by Horner in u
+    for j in range(n, -1, -1):
+        horner = ""
+        for nm, pr in zip(names, pairs):
+            if pr[0] == j:
+                horner = "(%s)*u + %s" % (horner, nm) if horner else nm
+        coeffs.append("    c%d = %s\n" % (n - j, horner))
+    value = "c0"
+    for j in range(1, n + 1):
+        value = "(%s)*t + c%d" % (value, j)
+    unpack = "    %s, = a\n" % ", ".join(names)
+    src = ("def head(%s):\n    return (%s,)\n"
+           % (", ".join(["C"] + zs),
+              ", ".join(" + ".join(parts[pr]) or "0" for pr in pairs))
+           + "def line(a, u, ts):\n" + unpack + "".join(coeffs)
+           + "    return [%s for t in ts]\n" % value
+           + "def block(a, lines):\n" + unpack
+           + "    out = set()\n    add = out.add\n"
+           + "    for p, ts in lines:\n        u = p[-1]\n"
+           + "".join("    " + c for c in coeffs)
+           + "        for t in ts:\n            add(%s)\n" % value
+           + "    return out\n")
+    code = {}
+    exec(src, code)
+    return monos, code["head"], code["block"], code["line"]
+
+
+# The largest search bound colon_and_kappa_search accepts.  The bound sets
+# the work: the box holds ((2B+1)^n - 1)/2 candidates, 138,458,880 for a
+# quartic at B = 64, some 230 times the default box of principality_evidence.
+MAX_SEARCH_BOUND = 64
 
 
 def colon_and_kappa_search(l1, l2, bound=50):
@@ -525,14 +571,20 @@ def colon_and_kappa_search(l1, l2, bound=50):
     enumerated by sup-norm of their coordinates against the canonical HNF
     basis of the colon lattice up to the bound (the as-computed colon basis
     can be badly skewed, which would bury small generators), then in lex
-    order, one line along the last coordinate at a time: on a line the norm
-    form is a polynomial in that coordinate, evaluated by Horner in exact
-    integers.  Candidates passing the norm filter are confirmed exactly.  A
-    hit is a proof; exhaustion is inconclusive (None).
+    order.  The norm form is evaluated in exact integers one block at a
+    time: the lines along the last coordinate that share all coordinates
+    but the last two, on which the form is a polynomial in those two.  Only
+    a block whose values include the wanted norm is walked again line by
+    line, in the same order, and there candidates passing the norm filter
+    are confirmed exactly.  A hit is a proof; exhaustion is inconclusive
+    (None).  A bound outside 0..MAX_SEARCH_BOUND raises DomainError.
     """
     _same_algebra(l1, l2)
     if bound < 0:
         raise DomainError("search bound must be >= 0")
+    if bound > MAX_SEARCH_BOUND:
+        raise DomainError("search bound %d is over the cap MAX_SEARCH_BOUND"
+                          " = %d" % (bound, MAX_SEARCH_BOUND))
     a = l1.algebra
     n = a.n
     if l1 == l2:
@@ -550,21 +602,26 @@ def colon_and_kappa_search(l1, l2, bound=50):
     if want.denominator != 1:
         return None
     want = want.numerator
-    coeffs, horner = _compile_lines(det)
-    for p, ts in _lines(n, bound):
-        vals = horner(ts, *coeffs(*p))
+    monos, head, block, line = _evaluators(n)
+    coeffs = [det.terms.get(e, 0) for e in monos]  # det is homogeneous
+    for prefix, lines in groupby(_lines(n, bound), key=lambda l: l[0][:-1]):
+        lines = list(lines)
+        h = head(coeffs, *prefix)
+        vals = block(h, lines)
         if want not in vals and -want not in vals:
             continue
-        for t, v in zip(ts, vals):
-            if v != want and v != -want:
-                continue
-            z = p + (t,)
-            kappa = AlgElement(a, [sum(zi * row[j]
-                                       for zi, row in zip(z, col.hnf))
-                                   for j in range(n)], d)
-            if l2.scaled(kappa) == l1:
-                # -kappa works whenever kappa does; fix the sign of the
-                # first nonzero power coordinate for a deterministic answer
-                lead = next(c for c in kappa.num if c)
-                return -kappa if lead < 0 else kappa
+        for p, ts in lines:
+            for t, v in zip(ts, line(h, p[-1], ts)):
+                if v != want and v != -want:
+                    continue
+                z = p + (t,)
+                kappa = AlgElement(a, [sum(zi * row[j]
+                                           for zi, row in zip(z, col.hnf))
+                                       for j in range(n)], d)
+                if l2.scaled(kappa) == l1:
+                    # -kappa works whenever kappa does; fix the sign of the
+                    # first nonzero power coordinate for a deterministic
+                    # answer
+                    lead = next(c for c in kappa.num if c)
+                    return -kappa if lead < 0 else kappa
     return None

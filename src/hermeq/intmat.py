@@ -1,5 +1,6 @@
 # Exact dense matrix kernels: fraction-free determinants, row-style Hermite
-# normal form with transformation matrix, integer kernels, adjugates.
+# normal form with transformation matrix, integer kernels, adjugates and
+# fraction-free solves.
 #
 # Matrices are lists of row lists.  Nothing here is optimized for size; every
 # matrix in this package is tiny (dimension at most a few dozen) and the only
@@ -136,11 +137,55 @@ def det_rational(m):
 
 
 def adjugate(m):
-    """The integer adjugate adj(m), so m adj(m) = adj(m) m = det(m) I."""
+    """The integer adjugate adj(m), so m adj(m) = adj(m) m = det(m) I, by its
+    definition through cofactors; singular m included.  O(n^5): callers
+    that need adj(m) b for nonsingular m use adjugate_solve."""
     n = len(m)
     return [[(-1) ** (i + j) * det_bareiss([r[:i] + r[i + 1:] for k, r in
                                             enumerate(m) if k != j])
              for j in range(n)] for i in range(n)]
+
+
+def adjugate_solve(m, b):
+    """(det(m), adj(m) b) for a square integer matrix m and an integer
+    matrix b with as many rows, or (0, None) when m is singular.
+
+    One fraction-free Gauss-Jordan pass on [m | b]: after the step on
+    column k every other row is replaced by (p r - r[k] pivot_row) / prev,
+    an exact division (Bareiss), and the left block ends as p I with p the
+    last pivot, which is det(m) up to the sign of the row swaps.
+    """
+    n, c = mat_dims(m)
+    if n != c or len(b) != n:
+        raise DimensionError("adjugate_solve needs a square m and as many "
+                             "rows in b")
+    a = [list(r) + list(rb) for r, rb in zip(m, b)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, None
+        pivot = a[k]
+        p = pivot[k]
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                x = row[k]
+                new = []
+                for u, v in zip(row, pivot):
+                    q, rem = divmod(p * u - x * v, prev)
+                    if rem:
+                        raise AssertionError("Bareiss division not exact")
+                    new.append(q)
+                a[i] = new
+        prev = p
+    return sign * prev, [[sign * x for x in r[n:]] for r in a]
 
 
 def _hnf_echelon(m):
@@ -238,10 +283,10 @@ def left_kernel(m):
 def inverse_rational(m):
     """Exact inverse with Fraction entries; RankError if singular."""
     a, d = common_denominator(m)
-    det = det_bareiss(a)
+    det, adj = adjugate_solve(a, identity(len(a)))
     if det == 0:
         raise RankError("singular matrix")
-    return [[Fraction(d * x, det) for x in row] for row in adjugate(a)]
+    return [[Fraction(d * x, det) for x in row] for row in adj]
 
 
 def is_unimodular(m):

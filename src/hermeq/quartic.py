@@ -126,7 +126,8 @@ def principality_evidence(f, bound=16):
     proves principality; exhausting both search boxes proves nothing and
     is reported as inconclusive.  The default bound covers the stock
     example f, whose smallest generator (11 + 4 alpha)^-1 sits at
-    coordinate height 12 of the inverse-orientation box.
+    coordinate height 12 of the inverse-orientation box.  A bound outside
+    0..algebra.MAX_SEARCH_BOUND raises DomainError.
     """
     f = normalize(f)
     if degree(f) != 4:

@@ -6,13 +6,14 @@ from math import gcd
 import pytest
 
 from hermeq import intpoly
-from hermeq.algebra import (AlgElement, EtaleAlgebra, _int_nth_root, _lines,
-                            colon_and_kappa_search, colon_lattice, dual_lattice,
-                            elem_mul, endo_ring, invariant_order, is_invertible,
-                            is_order, lattice_change_of_basis, lattice_equal,
-                            lattice_mul, lattice_norm, make_lattice, norm_form,
-                            trace_and_norm, trace_form_disc, unit_lattice,
-                            zeta_lattice)
+from hermeq.algebra import (MAX_SEARCH_BOUND, AlgElement, EtaleAlgebra,
+                            IdealLattice, _evaluators, _int_nth_root,
+                            _lines, colon_and_kappa_search, colon_lattice,
+                            dual_lattice, elem_mul, endo_ring, invariant_order,
+                            is_invertible, is_order, lattice_change_of_basis,
+                            lattice_equal, lattice_mul, lattice_norm,
+                            make_lattice, norm_form, trace_and_norm,
+                            trace_form_disc, unit_lattice, zeta_lattice)
 from hermeq.forms import DecomposableForm, hermite_form
 from hermeq.intpoly import DomainError
 
@@ -457,6 +458,14 @@ def test_kappa_search_rejects_negative_bound():
     assert colon_and_kappa_search(u, u, 0) == a.one()
 
 
+def test_kappa_search_rejects_a_bound_over_the_cap():
+    a = EtaleAlgebra(GAUSS)
+    u = unit_lattice(a)
+    with pytest.raises(DomainError, match="MAX_SEARCH_BOUND"):
+        colon_and_kappa_search(u, u, MAX_SEARCH_BOUND + 1)
+    assert colon_and_kappa_search(u, u, MAX_SEARCH_BOUND) == a.one()
+
+
 def test_int_nth_root_is_exact_for_large_values():
     big = 10 ** 20 + 7
     assert _int_nth_root(big ** 4, 4) == big
@@ -518,3 +527,68 @@ def test_kappa_search_returns_the_first_hit_of_the_box():
             assert colon_and_kappa_search(l1, l2, 3) == want, f
             hits += want is not None
     assert hits == 4
+
+
+def test_compiled_evaluators_match_direct_evaluation():
+    # n = 2 has an empty head; every point of the box is checked through
+    # head, block and line against DecomposableForm.evaluate
+    rng = random.Random(41)
+    for n in range(2, 6):
+        exps = [e for e in itertools.product(range(n + 1), repeat=n)
+                if sum(e) == n]
+        form = DecomposableForm(n, {e: rng.randint(-40, 40) for e in exps})
+        monos, head, block, line = _evaluators(n)
+        assert sorted(monos) == exps
+        coeffs = [form.terms.get(e, 0) for e in monos]
+        points = 0
+        for prefix, lines in itertools.groupby(_lines(n, 2),
+                                               key=lambda l: l[0][:-1]):
+            lines = list(lines)
+            h = head(coeffs, *prefix)
+            direct = [[form.evaluate(p + (t,)) for t in ts] for p, ts in lines]
+            assert [line(h, p[-1], ts) for p, ts in lines] == direct
+            assert block(h, lines) == {v for vs in direct for v in vs}
+            points += sum(map(len, direct))
+        assert points == (5 ** n - 1) // 2
+
+
+@pytest.mark.parametrize("f, base, bound, count", [
+    # X^3 - X - 1: the first three hits share one block, on three lines,
+    # and the later ones spread over other blocks
+    ([-1, -1, 0, 1], [2, 1, 0], 3, 13),
+    # X^2 - 2, an empty head: hits 2-3 and 4-5 each share one line
+    ([-2, 0, 1], [2, 1], 5, 5),
+])
+def test_kappa_search_walks_a_block_on_past_a_rejected_candidate(
+        monkeypatch, f, base, bound, count):
+    # A candidate of the colon lattice whose norm is +-want always passes
+    # the exact confirmation (kappa l2 lies in l1 with the same index), so
+    # rejections are injected: rejecting the first k norm hits of the box,
+    # found by brute force, must return hit k
+    a = EtaleAlgebra(f)
+    n = a.n
+    l2 = unit_lattice(a)
+    l1 = l2.scaled(a.element(base))
+    col = colon_lattice(l1, l2)
+    want = lattice_norm(l1, l2)
+    hits = []
+    for z in box_reference(n, bound):
+        kappa = AlgElement(a, [sum(zi * row[j] for zi, row in zip(z, col.hnf))
+                               for j in range(n)], col.denominator)
+        if abs(trace_and_norm(kappa)[1]) == want:
+            hits.append(kappa)
+    assert len(hits) == count
+    scaled = IdealLattice.scaled
+    for k in range(len(hits) + 1):
+        rejected = hits[:k]
+        monkeypatch.setattr(
+            IdealLattice, "scaled",
+            lambda l, kappa: l if kappa in rejected else scaled(l, kappa))
+        got = colon_and_kappa_search(l1, l2, bound)
+        if k == len(hits):
+            assert got is None
+        else:
+            want_k = hits[k]
+            if next(c for c in want_k.num if c) < 0:
+                want_k = -want_k
+            assert got == want_k, k

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermeq.algebra import MAX_SEARCH_BOUND
 from hermeq.cli import main
 from hermeq.jsonio import MAX_INPUT_DIGITS
 
@@ -215,6 +217,31 @@ def test_negative_search_bound_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "bound" in err
+
+
+def test_search_bound_over_the_cap_exits_2(capsys):
+    code, out, err = run(capsys, "quartic", "principal-evidence",
+                         "--poly", "[255,13,-62,-1,4]",
+                         "--bound", str(MAX_SEARCH_BOUND + 1))
+    assert code == 2
+    assert out == ""
+    assert "MAX_SEARCH_BOUND = %d" % MAX_SEARCH_BOUND in err
+
+
+@pytest.mark.parametrize("poly, bound, digest", [
+    # F at the default bound: the generator [371,-116,-48,16], inverse
+    # orientation; G at bound 8: inconclusive
+    ("[255,13,-62,-1,4]", None,
+     "e69c50522151e7d71b0c3c7f73a8d0e692ee7770c61bb15b5aac7a59741a9516"),
+    ("[-6,-7,-2,-1,5]", "8",
+     "9c3325c6c53850f6c44fab992703aeb229db14ec350340583ea42e57888b46c3"),
+])
+def test_principal_evidence_stdout_is_pinned(capsys, poly, bound, digest):
+    argv = ["quartic", "principal-evidence", "--poly", poly]
+    if bound is not None:
+        argv += ["--bound", bound]
+    _, out, _ = run(capsys, *argv)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
 
 
 def test_outputs_are_byte_identical(capsys):

@@ -210,6 +210,26 @@ def test_adjugate_gives_det_times_identity():
             assert intmat.mat_mul(adj, m) == want
 
 
+def test_adjugate_solve_gives_det_and_adjugate_times_b():
+    rng = random.Random(29)
+    for n in range(1, 7):
+        for t in range(8):
+            m = rand_mat(rng, n, n)
+            if t < 2:  # singular: the last row repeats a row, or is zero
+                m[-1] = list(m[0]) if n > 1 and t == 0 else [0] * n
+            if t == 2:  # a zero leading entry forces a row swap
+                m[0][0] = 0
+            b = rand_mat(rng, n, rng.randint(1, 4))
+            det, x = intmat.adjugate_solve(m, b)
+            assert det == det_cofactor(m)
+            if det:
+                assert x == intmat.mat_mul(intmat.adjugate(m), b)
+            else:
+                assert x is None
+    with pytest.raises(intmat.DimensionError):
+        intmat.adjugate_solve([[1, 2], [3, 4]], [[1]])
+
+
 def test_inverse_singular_raises():
     with pytest.raises(intmat.RankError):
         intmat.inverse_rational([[1, 2], [2, 4]])
