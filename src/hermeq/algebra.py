@@ -9,11 +9,10 @@ from functools import lru_cache
 from itertools import groupby, product
 from math import gcd, isqrt, lcm
 
-from .forms import MPoly, DecomposableForm
-from .intmat import (adjugate_solve, common_denominator, det_bareiss,
-                     det_cofactor, hnf, hnf_lattice, inverse_rational,
-                     is_unimodular, mat_int_check, mat_mul, transpose,
-                     RankError)
+from .forms import DecomposableForm, check_form_degree, laplace_minors
+from .intmat import (adjugate_solve, common_denominator, det_bareiss, hnf,
+                     hnf_lattice, inverse_rational, is_unimodular,
+                     mat_int_check, mat_mul, transpose, RankError)
 from .intpoly import (DomainError, degree, discriminant, normalize,
                       poly_eval, primitive_part, scaled_power_sums)
 
@@ -429,20 +428,15 @@ def is_invertible(l, o):
 
 
 def _integer_norm_form(algebra, rows):
-    # N(z1 r1 + ... + zn rn) for integer rows r_i, as an integer form in z
+    # (terms, d): N(z1 r1 + ... + zn rn) for integer rows r_i as the integer
+    # form det(d*M) = d^n N(sum z_i r_i), exponent tuples -> coefficients
     n = algebra.n
     alpha = algebra.alpha()
     mats = [product_rows(AlgElement(algebra, row), alpha) for row in rows]
     d = lcm(*(dm for _, dm in mats))
-    sym = [[MPoly(n) for _ in range(n)] for _ in range(n)]
-    for i, (m, dm) in enumerate(mats):
-        xi = MPoly.variable(n, i)
-        for r in range(n):
-            for c in range(n):
-                v = m[r][c] * (d // dm)
-                if v:
-                    sym[r][c] = sym[r][c] + v * xi
-    return det_cofactor(sym), d  # det(d*M) = d^n N(sum z_i r_i)
+    sym = [[[m[r][c] * (d // dm) for m, dm in mats] for c in range(n)]
+           for r in range(n)]  # entry (r, c): z_i's coefficients in d*M
+    return laplace_minors(sym, n, lambda cols: 1), d
 
 
 def norm_form(l, o):
@@ -452,14 +446,15 @@ def norm_form(l, o):
     result has integer coefficients whenever l is a fractional o-ideal.
     """
     _same_algebra(l, o)
+    n = l.algebra.n
+    check_form_degree(n)
     if not is_order(o):
         raise DomainError("second argument must be an order")
-    n = l.algebra.n
     det, dd = _integer_norm_form(l.algebra, l.rows)
     nu = lattice_norm(l, o)
     div = (dd * l.denominator) ** n * nu.numerator
     terms = {}
-    for e, c in det.terms.items():
+    for e, c in det.items():
         v, r = divmod(c * nu.denominator, div)
         if r:
             raise DomainError("norm form is not integral; l is not an o-ideal")
@@ -603,7 +598,7 @@ def colon_and_kappa_search(l1, l2, bound=50):
         return None
     want = want.numerator
     monos, head, block, line = _evaluators(n)
-    coeffs = [det.terms.get(e, 0) for e in monos]  # det is homogeneous
+    coeffs = [det.get(e, 0) for e in monos]  # det is homogeneous
     for prefix, lines in groupby(_lines(n, bound), key=lambda l: l[0][:-1]):
         lines = list(lines)
         h = head(coeffs, *prefix)

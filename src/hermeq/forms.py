@@ -165,72 +165,119 @@ class DecomposableForm:
         return total
 
 
+# Above this degree hermite_form and norm_form refuse their input.  Each
+# grows about tenfold per degree: at degree 9 each takes about 4 s on a
+# 2-core machine (hermite_form peaks near 130 MB resident), and at degree
+# 10 norm_form takes about 40 s.  reproduce-all stays at degree 5 and the
+# tests at degree 8.
+MAX_FORM_DEGREE = 9
+
+
+def check_form_degree(n):
+    if n > MAX_FORM_DEGREE:
+        raise DomainError("degree %d is over the cap MAX_FORM_DEGREE = %d"
+                          % (n, MAX_FORM_DEGREE))
+
+
+def unpack_exponents(key, nvars, base):
+    """The exponent tuple packed in key as sum e_i * base^i."""
+    e = []
+    for _ in range(nvars):
+        key, r = divmod(key, base)
+        e.append(r)
+    return tuple(e)
+
+
+def laplace_minors(rows, nvars, weight):
+    """Sum over column sets S of weight(S) * minor(rows on S), expanded.
+
+    Each entry of rows is None (zero) or a linear form, a sequence of nvars
+    integer coefficients.  A column set S is a bitmask over the columns
+    with len(rows) bits set; weight(S) is an integer, asked once per S.
+    Returns the sum as a dict from exponent tuples to nonzero coefficients.
+
+    The minors are built one row at a time in a dict keyed by column
+    bitmask: expanding along row r, the minor on S gains a[r][c] * (minor
+    of the rows above on S - c) with the sign (-1)^(members of S above c).
+    A polynomial is a dict keyed by the packed exponent sum e_i * b^i with
+    b = len(rows) + 1, which no exponent reaches, so multiplying by a
+    variable adds b^i to a key.  The minors of the last row are never
+    stored: each is weighted and folded into the sum as it arises.
+    """
+    b = len(rows) + 1
+    steps = [[None if a is None else
+              [(b ** i, x) for i, x in enumerate(a) if x] for a in row]
+             for row in rows]
+    level = {0: {0: 1}}
+    for row in steps[:-1]:
+        nxt = {}
+        for mask, poly in level.items():
+            for c, lin in enumerate(row):
+                if not lin or mask >> c & 1:
+                    continue
+                sign = -1 if bin(mask >> c).count("1") & 1 else 1
+                acc = nxt.setdefault(mask | 1 << c, {})
+                for step, x in lin:
+                    x *= sign
+                    for key, coef in poly.items():
+                        key += step
+                        acc[key] = acc.get(key, 0) + x * coef
+        for poly in nxt.values():
+            for key in [k for k, v in poly.items() if not v]:
+                del poly[key]
+        level = nxt
+    weights = {}
+    out = {}
+    for mask, poly in level.items():
+        for c, lin in enumerate(steps[-1]):
+            if not lin or mask >> c & 1:
+                continue
+            s = mask | 1 << c
+            w = weights.get(s)
+            if w is None:
+                w = weights[s] = weight(s)
+            if not w:
+                continue
+            if bin(mask >> c).count("1") & 1:
+                w = -w
+            for step, x in lin:
+                x *= w
+                for key, coef in poly.items():
+                    key += step
+                    out[key] = out.get(key, 0) + x * coef
+    return {unpack_exponents(k, nvars, b): v for k, v in out.items() if v}
+
+
 def hermite_form(f):
     """The decomposable form [f] by symbolic expansion of Res(phi_X, f).
 
     The (2n-1)-square Sylvester determinant is expanded by generalized
-    Laplace along its first n rows (the rows holding the variables): the
-    variable-row minors come from a subset DP adding one row at a time, the
-    complementary integer minors from Bareiss.  Exact for any degree; meant
-    for n up to about 8, beyond which the subset count takes over.
+    Laplace along its first n rows (the rows holding the variables; row r
+    has X_j at column r+j): laplace_minors gives the sum of their minors,
+    each weighted by its signed complementary integer minor from Bareiss.
+    Exact for any degree up to MAX_FORM_DEGREE.
     """
     f = normalize(f)
     n = degree(f)
     if n < 2:
         raise DomainError("form needs degree >= 2")
+    check_form_degree(n)
     size = 2 * n - 1
     fd = list(reversed(f))  # leading coefficient first
-    # level[S] = minor of the first r variable rows on column set S,
-    # held as a sparse exponent dict; row r has variable j at column r+j.
-    level = {(): {(0,) * n: 1}}
-    for r in range(n):
-        nxt = {}
-        for cols, val in level.items():
-            for j in range(n):
-                c = r + j
-                if c in cols:
-                    continue
-                pos = 0
-                while pos < len(cols) and cols[pos] < c:
-                    pos += 1
-                sgn = -1 if (r + pos) % 2 else 1
-                key = cols[:pos] + (c,) + cols[pos:]
-                acc = nxt.setdefault(key, {})
-                for e, coef in val.items():
-                    e2 = list(e)
-                    e2[j] += 1
-                    e2 = tuple(e2)
-                    s = acc.get(e2, 0) + sgn * coef
-                    if s:
-                        acc[e2] = s
-                    else:
-                        del acc[e2]
-        level = nxt
     base_sign = n * (n - 1) // 2  # sum of the expanded row indices
-    out = {}
-    for cols, val in level.items():
-        if not val:
-            continue
-        comp = [c for c in range(size) if c not in cols]
-        bottom = []
-        for i in range(n - 1):
-            row = []
-            for c in comp:
-                k = c - i
-                row.append(fd[k] if 0 <= k <= n else 0)
-            bottom.append(row)
-        minor = det_bareiss(bottom) if bottom else 1
-        if not minor:
-            continue
-        sgn = -1 if (sum(cols) + base_sign) % 2 else 1
-        m = sgn * minor
-        for e, coef in val.items():
-            s = out.get(e, 0) + m * coef
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return DecomposableForm(n, out)
+    variable = [[int(i == j) for i in range(n)] for j in range(n)]
+    rows = [[variable[c - r] if 0 <= c - r < n else None
+             for c in range(size)] for r in range(n)]
+
+    def weight(mask):
+        cols = [c for c in range(size) if mask >> c & 1]
+        comp = [c for c in range(size) if not mask >> c & 1]
+        bottom = [[fd[c - i] if 0 <= c - i <= n else 0 for c in comp]
+                  for i in range(n - 1)]
+        minor = det_bareiss(bottom)
+        return -minor if (sum(cols) + base_sign) % 2 else minor
+
+    return DecomposableForm(n, laplace_minors(rows, n, weight))
 
 
 def form_content(F):

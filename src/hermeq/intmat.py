@@ -102,7 +102,10 @@ def det_cofactor(m):
 
     Entries may live in any commutative ring (only +, *, unary - and
     comparison with 0 are used); exponential in the dimension, so reserved
-    for small symbolic matrices where Bareiss division is unavailable.
+    for small symbolic matrices where Bareiss division is unavailable.  It
+    is intpoly.resultant's fallback for symbolic coefficients and the
+    reference the tests compare forms.laplace_minors against; the forms
+    themselves are expanded by laplace_minors, which shares minors.
     """
     r, c = mat_dims(m)
     if r != c:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hermeq.algebra import MAX_SEARCH_BOUND
 from hermeq.cli import main
+from hermeq.forms import MAX_FORM_DEGREE
 from hermeq.jsonio import MAX_INPUT_DIGITS
 
 T1_POLY = '[1,2,-4,-1,1]'
@@ -244,6 +245,38 @@ def test_principal_evidence_stdout_is_pinned(capsys, poly, bound, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
 
 
+@pytest.mark.parametrize("command, poly, digest", [
+    ("form", "[3,-1,4,1,-5,9]",
+     "16bfe6508d07e65f03982be85df6a3b1236b6899078ef21c90a32fa7768200fc"),
+    ("form", "[2,6,-5,3,5,-8,9]",
+     "f575ab7e80e6d368f8752af84d4af7513cc3b5501ecd8e22a7b85caaae5bc79a"),
+    ("form", "[7,-9,3,2,-3,8,4,-6]",
+     "9ce2c2ea76fbe5ca01831ca57184e886499bd5cbafc461471a88a4610bb8d281"),
+    ("form", "[2,6,4,-3,3,8,-3,2,7]",
+     "f8b362bbc3b5181190c0a4389a823c81e9114648799e4d4c1a249ae7869695f9"),
+    ("normform", "[3,-1,4,1,-5,9]",
+     "ca8606fef6303a5894e5e8979225083d33f6f21cd3cb2d092e17d72bce9924cd"),
+    ("normform", "[2,6,-5,3,5,-8,9]",
+     "4d79053224540023271d74b132f32d1e0f200240caa4600e0fb24c7388b79a95"),
+    ("normform", "[7,-9,3,2,-3,8,4,-6]",
+     "c9ed8cf984b78e399de38e61689efc4d35d1d5769daa9e3117aeb14747759557"),
+])
+def test_form_stdout_is_pinned(capsys, command, poly, digest):
+    # degrees 5-8 (form) and 5-7 (normform)
+    code, out, _ = run(capsys, command, "--poly", poly)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["form", "normform"])
+def test_form_degree_over_the_cap_exits_2(capsys, command):
+    poly = json.dumps([1] + [0] * MAX_FORM_DEGREE + [1])
+    code, out, err = run(capsys, command, "--poly", poly)
+    assert code == 2
+    assert out == ""
+    assert "MAX_FORM_DEGREE = %d" % MAX_FORM_DEGREE in err
+
+
 def test_outputs_are_byte_identical(capsys):
     outs = set()
     for _ in range(3):
@@ -270,6 +303,18 @@ def test_module_entrypoint_subprocess():
         [sys.executable, "-m", "hermeq.cli", "disc", "--poly", "[1,0,1]"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"discriminant": "-4"}
+
+
+def test_disc_does_not_import_hashlib():
+    # only fixture checksums need hashlib (and the libcrypto it maps)
+    code = ("import sys\n"
+            "from hermeq.cli import main\n"
+            "assert main(['disc', '--poly', '[1,0,1]']) == 0\n"
+            "assert 'hashlib' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"discriminant": "-4"}
 
 

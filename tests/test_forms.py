@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
 
 from hermeq import intmat, intpoly
-from hermeq.forms import (DecomposableForm, MPoly, act_gln, form_content,
-                          hermite_form, transfer_matrix, verify_disc_identity)
+from hermeq.algebra import invariant_order, norm_form, zeta_lattice
+from hermeq.forms import (MAX_FORM_DEGREE, DecomposableForm, MPoly, act_gln,
+                          form_content, hermite_form, laplace_minors,
+                          transfer_matrix, verify_disc_identity)
 
 
 def rand_unimodular2(rng, steps=5):
@@ -94,6 +97,89 @@ def test_hermite_form_agrees_with_symbolic_resultant():
         phi = [MPoly.variable(n, n - 1 - i) for i in range(n)]  # Xn, ..., X1
         r = intpoly.resultant(phi, f)
         assert DecomposableForm(n, r.terms) == hermite_form(f)
+
+
+def _rand_linear_rows(rng, k, ncols, nvars):
+    # entries: None, an all-zero form, or coefficients in -4..4
+    def entry():
+        u = rng.random()
+        if u < 0.15:
+            return None
+        if u < 0.2:
+            return [0] * nvars
+        return [rng.randint(-4, 4) for _ in range(nvars)]
+    return [[entry() for _ in range(ncols)] for _ in range(k)]
+
+
+def _as_mpoly(rows, nvars):
+    unit = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
+    return [[MPoly(nvars) if a is None else
+             MPoly(nvars, {unit[i]: x for i, x in enumerate(a)})
+             for a in row] for row in rows]
+
+
+def _counting(weight):
+    calls = []
+
+    def w(mask):
+        calls.append(mask)
+        return weight(mask)
+    return w, calls
+
+
+def test_laplace_minors_matches_cofactor_determinant():
+    rng = random.Random(23)
+    for n in range(1, 7):
+        for trial in range(4):
+            nvars = rng.randint(1, 4)
+            rows = _rand_linear_rows(rng, n, n, nvars)
+            if trial == 3 and n > 1:  # a repeated row: determinant 0
+                rows[-1] = list(rows[0])
+            # det_cofactor returns the int 0 when a whole row is zero
+            want = MPoly(nvars) + intmat.det_cofactor(_as_mpoly(rows, nvars))
+            w, calls = _counting(lambda mask: 1)
+            got = laplace_minors(rows, nvars, w)
+            assert got == want.terms
+            assert calls in ([], [(1 << n) - 1])
+            if trial == 3 and n > 1:
+                assert got == {}
+    # a hand case: det [[x, y], [-y, x]] = x^2 + y^2
+    assert laplace_minors([[[1, 0], [0, 1]], [[0, -1], [1, 0]]], 2,
+                          lambda mask: 1) == {(2, 0): 1, (0, 2): 1}
+
+
+def test_laplace_minors_weighted_sum_over_column_sets():
+    # k rows over more columns: the sum of weight(S) * minor(S) over all
+    # k-sets S, against the explicit generalized Laplace sum
+    rng = random.Random(29)
+    for k, ncols in ((1, 3), (2, 4), (3, 5), (3, 6), (4, 7)):
+        nvars = rng.randint(2, 4)
+        rows = _rand_linear_rows(rng, k, ncols, nvars)
+
+        def weight(mask):
+            return (mask * 7) % 5 - 2  # zero on some column sets
+
+        mats = _as_mpoly(rows, nvars)
+        want = MPoly(nvars)
+        zeroed = 0
+        for cols in combinations(range(ncols), k):
+            mask = sum(1 << c for c in cols)
+            zeroed += weight(mask) == 0
+            want = want + weight(mask) * intmat.det_cofactor(
+                [[row[c] for c in cols] for row in mats])
+        assert zeroed
+        w, calls = _counting(weight)
+        assert laplace_minors(rows, nvars, w) == want.terms
+        assert want.terms
+        assert len(calls) == len(set(calls))  # asked once per column set
+
+
+def test_form_degree_cap():
+    f = [1] + [0] * MAX_FORM_DEGREE + [1]
+    with pytest.raises(intpoly.DomainError, match="MAX_FORM_DEGREE"):
+        hermite_form(f)
+    with pytest.raises(intpoly.DomainError, match="MAX_FORM_DEGREE"):
+        norm_form(zeta_lattice(f, MAX_FORM_DEGREE), invariant_order(f))
 
 
 def test_form_content_examples():
