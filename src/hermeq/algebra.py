@@ -244,7 +244,7 @@ class IdealLattice:
             raise DomainError("lattice basis must be square of algebra degree")
         rows, den = _lowest(rows, den)
         try:
-            h, _ = hnf(rows)
+            h, _ = hnf(rows, transform=False)
         except RankError:
             raise DomainError("lattice basis is singular")
         self.algebra = algebra
@@ -354,7 +354,7 @@ def lattice_mul(l1, l2):
     a = l1.algebra
     rows, d = _rows([x * y for x in l1.basis_elements()
                      for y in l2.basis_elements()])
-    h, _, rank = hnf_lattice(rows)
+    h, _, rank = hnf_lattice(rows, transform=False)
     if rank != a.n:
         raise DomainError("product lattice is not full rank")
     return IdealLattice(a, h, d)

@@ -14,114 +14,6 @@ from .intpoly import (DomainError, degree, discriminant, normalize,
                       poly_mul, poly_pow, scaled_power_sums)
 
 
-class MPoly:
-    """Sparse multivariate polynomial over the integers.
-
-    Keys are exponent tuples of fixed length nvars; values are nonzero ints.
-    Supports ring arithmetic with other MPoly instances and with ints, which
-    is all the symbolic Sylvester expansion needs.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self.terms[tuple(e)] = c
-
-    @classmethod
-    def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: c} if c else {})
-
-    @classmethod
-    def variable(cls, nvars, j):
-        e = [0] * nvars
-        e[j] = 1
-        return cls(nvars, {tuple(e): 1})
-
-    def _coerce(self, other):
-        if isinstance(other, MPoly):
-            if other.nvars != self.nvars:
-                raise ValueError("mixed variable counts")
-            return other
-        if isinstance(other, int):
-            return MPoly.constant(self.nvars, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MPoly(self.nvars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return MPoly(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        out = MPoly.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return not self.terms
-            return self.terms == {(0,) * self.nvars: other}
-        if isinstance(other, MPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return "MPoly(%d, %r)" % (self.nvars, self.terms)
-
-
 class DecomposableForm:
     """Homogeneous integer form of degree n in n variables, stored sparsely.
 
@@ -297,30 +189,47 @@ def act_gln(F, u):
     Multivariate Horner: grouped by the exponent of X_0, F is a polynomial
     in L_0 = sum_j u[0][j] X_j whose coefficients are the groups, each
     substituted the same way in X_1, ...  Every step multiplies by one
-    linear form L_i, so no power of a linear form is ever expanded.
+    linear form L_i, so no power of a linear form is ever expanded.  As in
+    laplace_minors, a polynomial is a dict keyed by the packed exponent
+    sum e_i * b^i with b = n + 1, so multiplying by X_j adds b^j to a key.
     """
     r, c = mat_dims(u)
     if r != c or r != F.n or not is_unimodular(u):
         raise DomainError("substitution matrix must be unimodular of matching size")
     n = F.n
-    linear = [MPoly(n, {tuple(int(k == j) for k in range(n)): u[i][j]
-                        for j in range(n)}) for i in range(n)]
+    b = n + 1
+    linear = [[(b ** j, x) for j, x in enumerate(row) if x] for row in u]
+
+    def times(poly, lin):
+        # lin is not empty: u is unimodular, so no L_i is zero
+        (step, x), rest = lin[0], lin[1:]
+        out = {key + step: x * coef for key, coef in poly.items()}
+        get = out.get
+        for step, x in rest:
+            for key, coef in poly.items():
+                key += step
+                out[key] = get(key, 0) + x * coef
+        return out
 
     def sub(terms, i):
         # terms: exponents of X_i, ..., X_(n-1) -> coefficient
-        if i == n:
-            return terms[()]
         groups = {}
         for e, coef in terms.items():
             groups.setdefault(e[0], {})[e[1:]] = coef
-        acc = MPoly(n)
+        acc = {}
         for k in range(max(groups), -1, -1):
-            acc = acc * linear[i]
+            if acc:
+                acc = times(acc, linear[i])
             if k in groups:
-                acc = acc + sub(groups[k], i + 1)
+                group = groups[k]
+                inner = sub(group, i + 1) if i + 1 < n else {0: group[()]}
+                for key, coef in inner.items():
+                    acc[key] = acc.get(key, 0) + coef
         return acc
 
-    return DecomposableForm(n, sub(F.terms, 0).terms if F.terms else {})
+    out = sub(F.terms, 0) if F.terms else {}
+    return DecomposableForm(n, {unpack_exponents(k, n, b): v
+                                for k, v in out.items() if v})
 
 
 def transfer_matrix(gamma, n):

@@ -1,6 +1,6 @@
 # Exact dense matrix kernels: fraction-free determinants, row-style Hermite
-# normal form with transformation matrix, integer kernels, adjugates and
-# fraction-free solves.
+# normal form (with its transformation matrix where a caller reads it),
+# integer kernels, adjugates and fraction-free solves.
 #
 # Matrices are lists of row lists.  Nothing here is optimized for size; every
 # matrix in this package is tiny (dimension at most a few dozen) and the only
@@ -102,10 +102,10 @@ def det_cofactor(m):
 
     Entries may live in any commutative ring (only +, *, unary - and
     comparison with 0 are used); exponential in the dimension, so reserved
-    for small symbolic matrices where Bareiss division is unavailable.  It
-    is intpoly.resultant's fallback for symbolic coefficients and the
-    reference the tests compare forms.laplace_minors against; the forms
-    themselves are expanded by laplace_minors, which shares minors.
+    for small symbolic matrices where Bareiss division is unavailable.
+    Nothing in the package calls it: it is the symbolic determinant the
+    tests check forms.laplace_minors and hermite_form against, and
+    perfbench/tracing.py traces it by name.
     """
     r, c = mat_dims(m)
     if r != c:
@@ -191,41 +191,47 @@ def adjugate_solve(m, b):
     return sign * prev, [[sign * x for x in r[n:]] for r in a]
 
 
-def _hnf_echelon(m):
-    # Shared worker: returns (H, T, pivots) with H = T m, T unimodular,
-    # H in row Hermite normal form (pivot columns strictly increasing,
-    # pivots positive, entries above each pivot reduced into [0, pivot),
-    # zero rows at the bottom).
-    r, c = mat_dims(m)
-    h = mat_copy(m)
-    t = identity(r)
+def _hnf_echelon(h, c):
+    """Bring the first c columns of the rows h, in place, to row Hermite
+    normal form and return the pivot columns.
+
+    The form: pivot columns strictly increasing, pivots positive, entries
+    above each pivot reduced into [0, pivot), zero rows at the bottom.
+    Every row operation replaces whole rows, so columns past c follow
+    along: an identity block there ends as the transform T.
+    """
+    r = len(h)
     row = 0
     pivots = []
     for col in range(c):
-        # clear below (row..r-1) in this column by gcd steps
-        pivot = None
-        for i in range(row, r):
-            if h[i][col] != 0:
-                pivot = i
+        for pivot in range(row, r):
+            if h[pivot][col]:
                 break
-        if pivot is None:
+        else:
             continue
-        if pivot != row:
-            h[row], h[pivot] = h[pivot], h[row]
-            t[row], t[pivot] = t[pivot], t[row]
+        h[row], h[pivot] = h[pivot], h[row]
+        # Clear below (row+1..r-1) in this column.  Against each row, the
+        # Euclidean steps run on the two column entries alone and gather
+        # into one unimodular 2x2 matrix [[p, q], [s, t]], which then acts
+        # on the two whole rows at once.
         for i in range(row + 1, r):
-            while h[i][col] != 0:
-                q = h[row][col] // h[i][col]
-                if q:
-                    for j in range(c):
-                        h[row][j] -= q * h[i][j]
-                    for j in range(r):
-                        t[row][j] -= q * t[i][j]
-                h[row], h[i] = h[i], h[row]
-                t[row], t[i] = t[i], t[row]
+            a, b = h[row], h[i]
+            x, y = a[col], b[col]
+            if not y:
+                continue
+            if not y % x:
+                k = y // x
+                h[i] = [v - k * u for u, v in zip(a, b)]
+                continue
+            p, q, s, t = 1, 0, 0, 1
+            while y:
+                k = x // y
+                x, y = y, x - k * y
+                p, q, s, t = s, t, p - k * s, q - k * t
+            h[row] = [p * u + q * v for u, v in zip(a, b)]
+            h[i] = [s * u + t * v for u, v in zip(a, b)]
         if h[row][col] < 0:
             h[row] = [-x for x in h[row]]
-            t[row] = [-x for x in t[row]]
         pivots.append(col)
         row += 1
         if row == r:
@@ -233,52 +239,73 @@ def _hnf_echelon(m):
     # Reduce entries above each pivot, walking pivots left to right: later
     # pivot rows are zero in earlier pivot columns, so this order never
     # disturbs a column already reduced.
-    for k in range(len(pivots)):
-        col = pivots[k]
-        p = h[k][col]
+    for k, col in enumerate(pivots):
+        b = h[k]
+        p = b[col]
         for i in range(k):
             q = h[i][col] // p
             if q:
-                for j in range(c):
-                    h[i][j] -= q * h[k][j]
-                for j in range(r):
-                    t[i][j] -= q * t[k][j]
-    return h, t, pivots
+                h[i] = [x - q * y for x, y in zip(h[i], b)]
+    return pivots
 
 
-def hnf(m):
+def _with_identity(m):
+    # (r, c, [m | I]): the rows of m, each extended by a row of I_r, so the
+    # identity block records the transform of every row operation
+    r, c = mat_dims(m)
+    rows = [[*row] + [0] * r for row in m]
+    for i, row in enumerate(rows):
+        row[c + i] = 1
+    return r, c, rows
+
+
+def _hnf(m, transform):
+    # (H, T, rank) as hnf_lattice returns them.  hnf calls this rather
+    # than hnf_lattice, so a traced run counts each public call once.
+    if transform:
+        _, c, rows = _with_identity(m)
+    else:
+        _, c = mat_dims(m)
+        rows = mat_copy(m)
+    rank = len(_hnf_echelon(rows, c))
+    if not transform:
+        return rows[:rank], None, rank
+    return [row[:c] for row in rows[:rank]], [row[c:] for row in rows], rank
+
+
+def hnf(m, *, transform=True):
     """Row-style Hermite normal form of a full-row-rank integer matrix.
 
     Returns (H, T) with H = T m, T unimodular.  H is upper triangular with
     positive pivots and entries above each pivot reduced into [0, pivot).
+    With transform=False, T is not formed and None takes its place.
     Raises RankError if the rows are dependent.
     """
-    r, _ = mat_dims(m)
-    h, t, pivots = _hnf_echelon(m)
-    if len(pivots) != r:
+    h, t, rank = _hnf(m, transform)
+    if rank != len(m):
         raise RankError("matrix does not have full row rank")
     return h, t
 
 
-def hnf_lattice(m):
+def hnf_lattice(m, *, transform=True):
     """HNF basis of the row lattice of m (any shape); zero rows dropped.
 
-    Returns (H, T, rank): H = the first `rank` rows of T m.
+    Returns (H, T, rank): H = the first `rank` rows of T m, T unimodular.
+    T is formed by reducing [m | I]; with transform=False it is not formed
+    and None takes its place.
     """
-    h, t, pivots = _hnf_echelon(m)
-    rank = len(pivots)
-    return h[:rank], t, rank
+    return _hnf(m, transform)
 
 
 def left_kernel(m):
     """Primitive basis of {v : v m = 0} over the integers, HNF-canonical."""
-    r, _ = mat_dims(m)
-    _, t, pivots = _hnf_echelon(m)
-    rank = len(pivots)
-    ker = t[rank:]
-    if not ker:
+    r, c, rows = _with_identity(m)
+    rank = len(_hnf_echelon(rows, c))
+    if rank == r:
         return []
-    kh, _, krank = hnf_lattice(ker)
+    # the transform rows of the zero rows of H span the kernel
+    kh, _, krank = hnf_lattice([row[c:] for row in rows[rank:]],
+                               transform=False)
     assert krank == r - rank
     return kh
 

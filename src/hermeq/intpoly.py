@@ -3,13 +3,13 @@
 # A polynomial is a list of coefficients in ascending order: p[i] is the
 # coefficient of X^i.  The zero polynomial is the empty list.  Trailing
 # (high-order) zeros are never stored; normalize() strips them.  Coefficients
-# are ints, or ring elements where a docstring says so; power_sums alone
-# returns Fractions, a view of the integers of scaled_power_sums.
+# are ints; power_sums alone returns Fractions, a view of the integers of
+# scaled_power_sums.
 
 from fractions import Fraction
 from math import gcd
 
-from .intmat import det_bareiss, det_cofactor
+from .intmat import det_bareiss
 
 
 class DomainError(ValueError):
@@ -174,6 +174,8 @@ def sylvester_matrix(p, q):
 
     Rows hold descending coefficients, each shifted one column to the right of
     the previous row, matching the classical resultant determinant layout.
+    The coefficients are only compared with 0 and copied, so symbolic ones
+    (any ring elements) lay out the same way.
     """
     p = normalize(p)
     q = normalize(q)
@@ -198,12 +200,8 @@ def sylvester_matrix(p, q):
 
 
 def resultant(p, q):
-    """Res(p, q) as the Sylvester determinant (deg q rows of p on top).
-
-    Coefficients may be integers or elements of any commutative ring
-    (symbolic form coefficients, say); the symbolic case falls back to
-    division-free cofactor expansion.
-    """
+    """Res(p, q) of integer polynomials as the Sylvester determinant (deg q
+    rows of p on top), by fraction-free Bareiss elimination."""
     p = normalize(p)
     q = normalize(q)
     if not p or not q:
@@ -212,10 +210,7 @@ def resultant(p, q):
         return p[0] ** degree(q)
     if degree(q) == 0:
         return q[0] ** degree(p)
-    s = sylvester_matrix(p, q)
-    if all(isinstance(x, int) for row in s for x in row):
-        return det_bareiss(s)
-    return det_cofactor(s)
+    return det_bareiss(sylvester_matrix(p, q))
 
 
 def discriminant(f):

@@ -7,9 +7,10 @@ import sympy
 
 from hermeq import intmat, intpoly
 from hermeq.algebra import invariant_order, norm_form, zeta_lattice
-from hermeq.forms import (MAX_FORM_DEGREE, DecomposableForm, MPoly, act_gln,
+from hermeq.forms import (MAX_FORM_DEGREE, DecomposableForm, act_gln,
                           form_content, hermite_form, laplace_minors,
                           transfer_matrix, verify_disc_identity)
+from oracles import MPoly, substitute
 
 
 def rand_unimodular2(rng, steps=5):
@@ -95,7 +96,7 @@ def test_hermite_form_agrees_with_symbolic_resultant():
         n = rng.randint(2, 4)
         f = [rng.randint(-9, 9) for _ in range(n)] + [rng.choice([1, 2, -3])]
         phi = [MPoly.variable(n, n - 1 - i) for i in range(n)]  # Xn, ..., X1
-        r = intpoly.resultant(phi, f)
+        r = intmat.det_cofactor(intpoly.sylvester_matrix(phi, f))
         assert DecomposableForm(n, r.terms) == hermite_form(f)
 
 
@@ -280,6 +281,48 @@ def test_act_gln_by_horner_matches_sympy_up_to_degree_6():
             for m in (u, signed):
                 assert act_gln(F, m).terms == _sympy_substituted_terms(F, m)
         assert act_gln(DecomposableForm(n, {}), u) == DecomposableForm(n, {})
+
+
+def _rand_unimodular_signed(rng, n):
+    # elementary row operations with multipliers in -3..3, then a sign flip
+    # or a row swap: entries of both signs, and zeros where few operations
+    # ran
+    u = intmat.identity(n)
+    for _ in range(rng.randint(0, 2 * n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            q = rng.randint(-3, 3)
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+    i, j = rng.randrange(n), rng.randrange(n)
+    if rng.random() < 0.5:
+        u[i] = [-x for x in u[i]]
+    else:
+        u[i], u[j] = u[j], u[i]
+    return u
+
+
+def test_act_gln_matches_mpoly_horner():
+    # the packed-dict substitution against the same Horner scheme in MPoly
+    # arithmetic, on [f], a single monomial and the empty form
+    rng = random.Random(59)
+    for n in range(2, 7):
+        f = [rng.randint(-9, 9) for _ in range(n)] + [rng.choice([1, 2, -3])]
+        e = [0] * n
+        e[rng.randrange(n)] += n - 1
+        e[rng.randrange(n)] += 1
+        forms = [hermite_form(f), DecomposableForm(n, {tuple(e): -4}),
+                 DecomposableForm(n, {})]
+        us = [_rand_unimodular_signed(rng, n) for _ in range(10)]
+        assert any(x < 0 for u in us for row in u for x in row)
+        assert any(x == 0 for u in us for row in u for x in row)
+        for u in us:
+            for F in forms:
+                assert act_gln(F, u).terms == substitute(F.terms, n, u)
+        # acting by u, then by v, substitutes u v
+        for u, v in zip(us[::2], us[1::2]):
+            F = forms[0]
+            uv = intmat.mat_mul(u, v)
+            assert act_gln(act_gln(F, u), v).terms == substitute(F.terms, n, uv)
 
 
 def test_act_gln_composition():

@@ -153,6 +153,58 @@ def test_hnf_lattice_drops_zero_rows():
     assert h == [[1, 0], [0, 1]]
 
 
+def _hnf_shapes(rng):
+    # n^2 x n (the shape of an ideal product's generators), square and
+    # 2 x k matrices, each also with 60-digit entries, a zero row, and
+    # rows that are combinations of a few others (rank deficient)
+    shapes = [(n * n, n) for n in range(2, 6)]
+    shapes += [(n, n) for n in range(1, 6)] + [(2, k) for k in range(1, 6)]
+    for r, c in shapes:
+        for trial in range(6):
+            hi = 10 ** 60 if trial in (1, 4) else 30
+            m = rand_mat(rng, r, c, -hi, hi)
+            if trial >= 3:  # rank at most max(1, c - 1)
+                basis = m[:max(1, c - 1)]
+                m = [[sum(rng.randint(-3, 3) * b[j] for b in basis)
+                      for j in range(c)] for _ in range(r)]
+            if trial in (2, 5):
+                m[rng.randrange(r)] = [0] * c
+            yield m
+
+
+def test_hnf_without_transform_matches_transform_path():
+    rng = random.Random(61)
+    deficient = 0
+    for m in _hnf_shapes(rng):
+        r, c = len(m), len(m[0])
+        h, t, rank = intmat.hnf_lattice(m)
+        assert intmat.hnf_lattice(m, transform=False) == (h, None, rank)
+        # H = the first rank rows of T m, the rest of T m is zero, and T is
+        # unimodular: H spans the row lattice of m
+        tm = intmat.mat_mul(t, m)
+        assert tm[:rank] == h
+        assert all(x == 0 for row in tm[rank:] for x in row)
+        assert intmat.is_unimodular(t)
+        check_hnf_shape(h)
+        if r <= 9:
+            # past 9 x 3, left_kernel's second HNF, of the r - rank
+            # transform rows, meets entries of thousands of bits
+            ker = intmat.left_kernel(m)
+            assert len(ker) == r - rank
+            for v in ker:
+                assert intmat.vec_mat(v, m) == [0] * c
+        if rank == r:
+            h1, t1 = intmat.hnf(m)
+            assert (h1, t1) == (h, t)
+            assert intmat.hnf(m, transform=False) == (h, None)
+        else:
+            deficient += 1
+            for transform in (True, False):
+                with pytest.raises(intmat.RankError):
+                    intmat.hnf(m, transform=transform)
+    assert deficient
+
+
 def test_left_kernel_identity_empty():
     assert intmat.left_kernel(intmat.identity(3)) == []
 
