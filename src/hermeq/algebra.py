@@ -10,9 +10,9 @@ from itertools import groupby, product
 from math import gcd, isqrt, lcm
 
 from .forms import DecomposableForm, check_form_degree, laplace_minors
-from .intmat import (adjugate_solve, common_denominator, det_bareiss, hnf,
+from .intmat import (adjugate_solve, common_denominator, det_bareiss,
                      hnf_lattice, inverse_rational, is_unimodular,
-                     mat_int_check, mat_mul, transpose, RankError)
+                     mat_int_check, mat_mul, transpose)
 from .intpoly import (DomainError, degree, discriminant, normalize,
                       poly_eval, primitive_part, scaled_power_sums)
 
@@ -243,9 +243,8 @@ class IdealLattice:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError("lattice basis must be square of algebra degree")
         rows, den = _lowest(rows, den)
-        try:
-            h, _ = hnf(rows, transform=False)
-        except RankError:
+        h, _, rank = hnf_lattice(rows, transform=False)
+        if rank != n:
             raise DomainError("lattice basis is singular")
         self.algebra = algebra
         self.rows = rows

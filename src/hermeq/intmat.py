@@ -273,15 +273,14 @@ def _hnf(m, transform):
     return [row[:c] for row in rows[:rank]], [row[c:] for row in rows], rank
 
 
-def hnf(m, *, transform=True):
+def hnf(m):
     """Row-style Hermite normal form of a full-row-rank integer matrix.
 
     Returns (H, T) with H = T m, T unimodular.  H is upper triangular with
     positive pivots and entries above each pivot reduced into [0, pivot).
-    With transform=False, T is not formed and None takes its place.
     Raises RankError if the rows are dependent.
     """
-    h, t, rank = _hnf(m, transform)
+    h, t, rank = _hnf(m, True)
     if rank != len(m):
         raise RankError("matrix does not have full row rank")
     return h, t

@@ -2,8 +2,7 @@
 
 MPoly is a sparse multivariate polynomial over the integers with plain
 ring arithmetic.  Over it, intmat.det_cofactor expands symbolic
-determinants, and substitute() runs the multivariate Horner substitution
-of forms.act_gln in MPoly arithmetic instead of packed-exponent dicts.
+determinants.
 """
 
 
@@ -114,28 +113,3 @@ class MPoly:
     def __repr__(self):
         return "MPoly(%d, %r)" % (self.nvars, self.terms)
 
-
-def substitute(terms, n, u):
-    """The terms of F(u X) for the form F with the given terms in n
-    variables, by multivariate Horner over MPoly: grouped by the exponent
-    of X_0, F is a polynomial in L_0 = sum_j u[0][j] X_j whose
-    coefficients are the groups, each substituted the same way in X_1, ...
-    """
-    linear = [MPoly(n, {tuple(int(k == j) for k in range(n)): u[i][j]
-                        for j in range(n)}) for i in range(n)]
-
-    def sub(terms, i):
-        # terms: exponents of X_i, ..., X_(n-1) -> coefficient
-        if i == n:
-            return terms[()]
-        groups = {}
-        for e, coef in terms.items():
-            groups.setdefault(e[0], {})[e[1:]] = coef
-        acc = MPoly(n)
-        for k in range(max(groups), -1, -1):
-            acc = acc * linear[i]
-            if k in groups:
-                acc = acc + sub(groups[k], i + 1)
-        return acc
-
-    return sub(terms, 0).terms if terms else {}

@@ -175,6 +175,14 @@ def test_lattice_norm_basics():
     assert lattice_norm(doubled, u) == 4
 
 
+def test_ideal_lattice_rejects_a_singular_basis():
+    a = EtaleAlgebra(GAUSS)
+    assert IdealLattice(a, [[2, 1], [0, 3]]).hnf == ((2, 1), (0, 3))
+    for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[0, 0], [3, 1]]):
+        with pytest.raises(DomainError, match="singular"):
+            IdealLattice(a, rows)
+
+
 def test_lattice_norm_invariant_ideals():
     rng = random.Random(67)
     for _ in range(20):

@@ -10,7 +10,7 @@ from hermeq.algebra import invariant_order, norm_form, zeta_lattice
 from hermeq.forms import (MAX_FORM_DEGREE, DecomposableForm, act_gln,
                           form_content, hermite_form, laplace_minors,
                           transfer_matrix, verify_disc_identity)
-from oracles import MPoly, substitute
+from oracles import MPoly
 
 
 def rand_unimodular2(rng, steps=5):
@@ -238,18 +238,37 @@ def test_act_gln_matches_sympy_substitution():
 
 
 def _sympy_substituted_terms(F, u):
-    xs = sympy.symbols("x0:%d" % F.n)
+    # in sympy's sparse polynomial ring over ZZ
+    _, *xs = sympy.polys.rings.ring("x0:%d" % F.n, sympy.ZZ)
     powers = []  # powers[i][k] = L_i^k, L_i = sum_j u[i][j] x_j
     for i in range(F.n):
-        li = sympy.Poly(sum(u[i][j] * xs[j] for j in range(F.n)), *xs)
+        li = sum(u[i][j] * xs[j] for j in range(F.n))
         powers.append([li ** k for k in range(F.n + 1)])
-    total = sympy.Poly(0, *xs)
+    total = 0
     for e, coef in F.terms.items():
-        t = sympy.Poly(coef, *xs)
+        t = coef
         for pw, k in zip(powers, e):
-            t *= pw[k]
-        total += t
-    return {e: int(c) for e, c in total.as_dict().items() if c}
+            t = t * pw[k]
+        total = total + t
+    return {e: int(c) for e, c in dict(total).items() if c} if total else {}
+
+
+def _rand_unimodular_signed(rng, n):
+    # elementary row operations with multipliers in -3..3, then a sign flip
+    # or a row swap: entries of both signs, and zeros where few operations
+    # ran
+    u = intmat.identity(n)
+    for _ in range(rng.randint(0, 2 * n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            q = rng.randint(-3, 3)
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+    i, j = rng.randrange(n), rng.randrange(n)
+    if rng.random() < 0.5:
+        u[i] = [-x for x in u[i]]
+    else:
+        u[i], u[j] = u[j], u[i]
+    return u
 
 
 def test_act_gln_by_horner_matches_sympy_up_to_degree_6():
@@ -277,52 +296,19 @@ def test_act_gln_by_horner_matches_sympy_up_to_degree_6():
         if intmat.det_bareiss(signed) == 1:
             signed[0] = [-x for x in signed[0]]
         assert intmat.det_bareiss(signed) == -1
+        us = [_rand_unimodular_signed(rng, n) for _ in range(6)]
+        assert any(x < 0 for v in us for row in v for x in row)
+        assert any(x == 0 for v in us for row in v for x in row)
         for F in forms:
-            for m in (u, signed):
+            for m in [u, signed] + us:
                 assert act_gln(F, m).terms == _sympy_substituted_terms(F, m)
         assert act_gln(DecomposableForm(n, {}), u) == DecomposableForm(n, {})
-
-
-def _rand_unimodular_signed(rng, n):
-    # elementary row operations with multipliers in -3..3, then a sign flip
-    # or a row swap: entries of both signs, and zeros where few operations
-    # ran
-    u = intmat.identity(n)
-    for _ in range(rng.randint(0, 2 * n)):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            q = rng.randint(-3, 3)
-            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-    i, j = rng.randrange(n), rng.randrange(n)
-    if rng.random() < 0.5:
-        u[i] = [-x for x in u[i]]
-    else:
-        u[i], u[j] = u[j], u[i]
-    return u
-
-
-def test_act_gln_matches_mpoly_horner():
-    # the packed-dict substitution against the same Horner scheme in MPoly
-    # arithmetic, on [f], a single monomial and the empty form
-    rng = random.Random(59)
-    for n in range(2, 7):
-        f = [rng.randint(-9, 9) for _ in range(n)] + [rng.choice([1, 2, -3])]
-        e = [0] * n
-        e[rng.randrange(n)] += n - 1
-        e[rng.randrange(n)] += 1
-        forms = [hermite_form(f), DecomposableForm(n, {tuple(e): -4}),
-                 DecomposableForm(n, {})]
-        us = [_rand_unimodular_signed(rng, n) for _ in range(10)]
-        assert any(x < 0 for u in us for row in u for x in row)
-        assert any(x == 0 for u in us for row in u for x in row)
-        for u in us:
-            for F in forms:
-                assert act_gln(F, u).terms == substitute(F.terms, n, u)
-        # acting by u, then by v, substitutes u v
-        for u, v in zip(us[::2], us[1::2]):
+        # acting by v, then by w, substitutes v w
+        for v, w in zip(us[::2], us[1::2]):
             F = forms[0]
-            uv = intmat.mat_mul(u, v)
-            assert act_gln(act_gln(F, u), v).terms == substitute(F.terms, n, uv)
+            vw = intmat.mat_mul(v, w)
+            assert (act_gln(act_gln(F, v), w).terms
+                    == _sympy_substituted_terms(F, vw))
 
 
 def test_act_gln_composition():
