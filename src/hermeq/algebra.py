@@ -6,7 +6,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import product
 from math import gcd, isqrt, lcm
 
 from .forms import DecomposableForm, check_form_degree, laplace_minors
@@ -203,22 +203,35 @@ class AlgElement:
         return AlgElement(self.algebra, [c for c, in col], det)
 
 
+def _products(a, xs, ys):
+    # the integer rows of s * x * y, s = a.pow_scale, for each numerator
+    # row x in xs and then y in ys: the convolution of the two rows, folded
+    # into the power basis through pow_table
+    n = a.n
+    table = a.pow_table
+    out = []
+    for x in xs:
+        for y in ys:
+            conv = [0] * (2 * n - 1)
+            for i, c in enumerate(x):
+                if c:
+                    for j, d in enumerate(y):
+                        conv[i + j] += c * d
+            row = [0] * n
+            for c, pw in zip(conv, table):
+                if c:
+                    for t in range(n):
+                        row[t] += c * pw[t]
+            out.append(row)
+    return out
+
+
 def elem_mul(x, y):
     if x.algebra != y.algebra:
         raise DomainError("algebra mismatch")
     a = x.algebra
-    n = a.n
-    conv = [0] * (2 * n - 1)
-    for i, c in enumerate(x.num):
-        if c:
-            for j, d in enumerate(y.num):
-                conv[i + j] += c * d
-    out = [0] * n
-    for c, pw in zip(conv, a.pow_table):
-        if c:
-            for t in range(n):
-                out[t] += c * pw[t]
-    return AlgElement(a, out, x.den * y.den * a.pow_scale)
+    (row,) = _products(a, [x.num], [y.num])
+    return AlgElement(a, row, x.den * y.den * a.pow_scale)
 
 
 def trace_and_norm(x):
@@ -351,12 +364,13 @@ def lattice_norm(l, o):
 def lattice_mul(l1, l2):
     _same_algebra(l1, l2)
     a = l1.algebra
-    rows, d = _rows([x * y for x in l1.basis_elements()
-                     for y in l2.basis_elements()])
-    h, _, rank = hnf_lattice(rows, transform=False)
+    # the products b_i c_j as integer rows over one denominator; the HNF
+    # commutes with positive scaling, so IdealLattice reduces its result to
+    # the rows and denominator of the products reduced one by one
+    h, _, rank = hnf_lattice(_products(a, l1.rows, l2.rows), transform=False)
     if rank != a.n:
         raise DomainError("product lattice is not full rank")
-    return IdealLattice(a, h, d)
+    return IdealLattice(a, h, l1.denominator * l2.denominator * a.pow_scale)
 
 
 def lattice_equal(l1, l2):
@@ -480,21 +494,6 @@ def _rational_nth_root(q, n):
     return None if p is None or d is None else Fraction(p, d)
 
 
-def _lines(n, bound):
-    # The search box one line at a time along the last coordinate: pairs
-    # (prefix, ts) such that prefix + (t,) for t in ts runs over the vectors
-    # of sup-norm 1..bound whose first nonzero entry is positive (norms are
-    # even in sign, so one of each +- pair suffices), by sup-norm, then lex.
-    zero = (0,) * (n - 1)
-    for s in range(1, bound + 1):
-        full = range(-s, s + 1)
-        for p in product(full, repeat=n - 1):
-            if p > zero:  # the first nonzero entry is positive
-                yield p, full if s in p or -s in p else (-s, s)
-            elif p == zero:
-                yield p, (s,)
-
-
 def _exponents(nvars, deg):
     # the exponent vectors of total degree deg in nvars variables
     if nvars == 1:
@@ -503,17 +502,33 @@ def _exponents(nvars, deg):
             for e in _exponents(nvars - 1, deg - k)]
 
 
+def _horner(terms, x):
+    # source of the polynomial with coefficient names terms, highest power
+    # first, at x by Horner's rule
+    out = terms[0]
+    for c in terms[1:]:
+        out = "(%s)*%s + %s" % (out, x, c)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _evaluators(n):
-    """(monos, head, block, line): exact evaluators of a form of degree n in
+    """(monos, head, scan, line): exact evaluators of a form of degree n in
     z_0..z_{n-1}, given as its coefficient vector C on the monomials monos.
 
     With u = z_{n-2} and t = z_{n-1}, head(C, z_0, ..., z_{n-3}) gives the
-    coefficients a of the form as a polynomial in (u, t); line(a, u, ts) is
-    the list of its values at (u, t) for t in ts, by Horner in u and then
-    in t, and block(a, lines) is the set of those values over every line
-    (prefix, ts) of _lines, u = prefix[-1], sharing that head.  The
-    monomials depend only on n, so the code is compiled once per degree.
+    coefficients a of the form P as a polynomial in (u, t), and
+    line(a, u, ts) is the list of its values at (u, t) for t in ts, by
+    Horner in u and then in t.
+
+    scan(a, us, s, rows, w) says whether P takes the value w or -w at some
+    (u, t) with u in us, t in -s..s when rows is true or |u| = s, and
+    t = +-s otherwise.  On a line of every t it takes the coefficients
+    c_j(u) of t^j by Horner in u, tests t = 0 once and then each pair +-t at
+    once through the even and odd parts in t: P(u, +-t) = E(t^2) +- t O(t^2).
+    On a line of t = +-s alone it evaluates P(u, +-s) = A(u) +- B(u), whose
+    coefficients in u it forms once per call.  The monomials depend only on
+    n, so the code is compiled once per degree.
     """
     monos = tuple(_exponents(n, n))
     zs = ["z%d" % i for i in range(n - 2)]
@@ -524,31 +539,53 @@ def _evaluators(n):
         mono = "".join("*" + z for z, m in zip(zs, e) for _ in range(m))
         parts[e[-1], e[-2]].append("C[%d]%s" % (k, mono))
     names = ["a%d" % k for k in range(len(pairs))]
-    coeffs = []  # c_j(u), j = n .. 0, by Horner in u
-    for j in range(n, -1, -1):
-        horner = ""
-        for nm, pr in zip(names, pairs):
-            if pr[0] == j:
-                horner = "(%s)*u + %s" % (horner, nm) if horner else nm
-        coeffs.append("    c%d = %s\n" % (n - j, horner))
-    value = "c0"
-    for j in range(1, n + 1):
-        value = "(%s)*t + c%d" % (value, j)
+
+    def code(lines, indent):
+        return "".join(" " * indent + ln + "\n" for ln in lines)
+
+    found = ["if v == w or v == nw:", "    return True"]
+    both = ["v = e + o"] + found + ["v = e - o"] + found
+    # c%d is c_j(u), the coefficient of t^j, named by n - j
+    coeffs = ["c%d = %s" % (n - j, _horner([nm for nm, pr in zip(names, pairs)
+                                           if pr[0] == j], "u"))
+              for j in range(n, -1, -1)]
+    even = ["c%d" % (n - j) for j in range(n - n % 2, -1, -2)]
+    odd = ["c%d" % (n - j) for j in range(n - 1 + n % 2, 0, -2)]
+    full = (coeffs + ["v = c%d" % n] + found + ["for t, t2 in squares:"]
+            + ["    " + ln for ln in ["e = " + _horner(even, "t2"),
+                                      "o = t * (%s)" % _horner(odd, "t2")]
+               + both])
+    # A%d and B%d: the coefficients of u^i in the parts of P(u, s) even and
+    # odd in s, so that P(u, +-s) = A(u) +- B(u)
+    spow = ["s%d = s%d * s" % (j, j - 1) for j in range(2, n + 1)]
+    ab = []
+    for x, parity in (("A", 0), ("B", 1)):
+        for i in range(n + 1 - parity):
+            terms = [nm + "*s%d" % pr[0] if pr[0] else nm
+                     for nm, pr in zip(names, pairs)
+                     if pr[1] == i and pr[0] % 2 == parity]
+            ab.append("%s%d = %s" % (x, i, " + ".join(terms)))
+    ring = ["e = " + _horner(["A%d" % i for i in range(n, -1, -1)], "u"),
+            "o = " + _horner(["B%d" % i for i in range(n - 1, -1, -1)], "u")
+            ] + both
     unpack = "    %s, = a\n" % ", ".join(names)
     src = ("def head(%s):\n    return (%s,)\n"
            % (", ".join(["C"] + zs),
               ", ".join(" + ".join(parts[pr]) or "0" for pr in pairs))
-           + "def line(a, u, ts):\n" + unpack + "".join(coeffs)
-           + "    return [%s for t in ts]\n" % value
-           + "def block(a, lines):\n" + unpack
-           + "    out = set()\n    add = out.add\n"
-           + "    for p, ts in lines:\n        u = p[-1]\n"
-           + "".join("    " + c for c in coeffs)
-           + "        for t in ts:\n            add(%s)\n" % value
-           + "    return out\n")
-    code = {}
-    exec(src, code)
-    return monos, code["head"], code["block"], code["line"]
+           + "def line(a, u, ts):\n" + unpack + code(coeffs, 4)
+           + "    return [%s for t in ts]\n"
+           % _horner(["c%d" % k for k in range(n + 1)], "t")
+           + "def scan(a, us, s, rows, w):\n" + unpack
+           + "    nw = -w\n"
+           + "    squares = [(t, t * t) for t in range(1, s + 1)]\n"
+           + "    if not rows:\n        s1 = s\n" + code(spow + ab, 8)
+           + "    for u in us:\n"
+           + "        if rows or u == s or u == -s:\n" + code(full, 12)
+           + "        else:\n" + code(ring, 12)
+           + "    return False\n")
+    compiled = {}
+    exec(src, compiled)
+    return monos, compiled["head"], compiled["scan"], compiled["line"]
 
 
 # The largest search bound colon_and_kappa_search accepts.  The bound sets
@@ -561,17 +598,26 @@ def colon_and_kappa_search(l1, l2, bound=50):
     """Search for kappa with kappa * l2 = l1.
 
     Any such kappa lies in the colon lattice (l1 : l2); its absolute norm
-    must equal the lattice norm of l1 relative to l2.  Candidates are
-    enumerated by sup-norm of their coordinates against the canonical HNF
-    basis of the colon lattice up to the bound (the as-computed colon basis
-    can be badly skewed, which would bury small generators), then in lex
-    order.  The norm form is evaluated in exact integers one block at a
-    time: the lines along the last coordinate that share all coordinates
-    but the last two, on which the form is a polynomial in those two.  Only
-    a block whose values include the wanted norm is walked again line by
-    line, in the same order, and there candidates passing the norm filter
-    are confirmed exactly.  A hit is a proof; exhaustion is inconclusive
-    (None).  A bound outside 0..MAX_SEARCH_BOUND raises DomainError.
+    must equal the lattice norm of l1 relative to l2.  Candidates are the
+    coordinate vectors z against the canonical HNF basis of the colon
+    lattice (the as-computed colon basis can be badly skewed, which would
+    bury small generators) of sup-norm 1..bound, one of each +- pair: those
+    whose first nonzero entry is positive.  They are visited by sup-norm,
+    then in lex order.
+
+    Each shell s is walked by blocks: a block is a prefix z_0..z_{n-3}, in
+    product order, with u = z_{n-2} and t = z_{n-1} free, so that on it the
+    norm form is a polynomial in (u, t).  A prefix above zero has u in
+    -s..s, the zero prefix u in 0..s, and a prefix below zero is skipped.
+    A line u takes every t in -s..s when the prefix or u reaches +-s, and
+    t = +-s otherwise.  One compiled scan per block tests whether the
+    norm +-want occurs in it, in exact integers.  On the zero prefix the
+    scan also tests (0, ..., 0, -s), the negative of a point of the box;
+    the form is homogeneous, so its norm has the same absolute value and
+    the test stays exact.  A block that passes is walked line by line in
+    the order above, and each candidate with norm +-want is confirmed
+    exactly.  A hit is a proof; exhaustion is inconclusive (None).  A bound
+    outside 0..MAX_SEARCH_BOUND raises DomainError.
     """
     _same_algebra(l1, l2)
     if bound < 0:
@@ -596,26 +642,40 @@ def colon_and_kappa_search(l1, l2, bound=50):
     if want.denominator != 1:
         return None
     want = want.numerator
-    monos, head, block, line = _evaluators(n)
+    monos, head, scan, line = _evaluators(n)
     coeffs = [det.get(e, 0) for e in monos]  # det is homogeneous
-    for prefix, lines in groupby(_lines(n, bound), key=lambda l: l[0][:-1]):
-        lines = list(lines)
-        h = head(coeffs, *prefix)
-        vals = block(h, lines)
-        if want not in vals and -want not in vals:
-            continue
-        for p, ts in lines:
-            for t, v in zip(ts, line(h, p[-1], ts)):
-                if v != want and v != -want:
-                    continue
-                z = p + (t,)
-                kappa = AlgElement(a, [sum(zi * row[j]
-                                           for zi, row in zip(z, col.hnf))
-                                       for j in range(n)], d)
-                if l2.scaled(kappa) == l1:
-                    # -kappa works whenever kappa does; fix the sign of the
-                    # first nonzero power coordinate for a deterministic
-                    # answer
-                    lead = next(c for c in kappa.num if c)
-                    return -kappa if lead < 0 else kappa
+    zero = (0,) * (n - 2)
+    for s in range(1, bound + 1):
+        full = range(-s, s + 1)
+        for prefix in product(full, repeat=n - 2):
+            if prefix > zero:
+                us = full
+            elif prefix == zero:
+                us = range(s + 1)
+            else:
+                continue
+            rows = s in prefix or -s in prefix
+            h = head(coeffs, *prefix)
+            if not scan(h, us, s, rows, want):
+                continue
+            for u in us:
+                if rows or u == s or u == -s:
+                    ts = full
+                elif u or prefix != zero:
+                    ts = (-s, s)
+                else:
+                    ts = (s,)
+                for t, v in zip(ts, line(h, u, ts)):
+                    if v != want and v != -want:
+                        continue
+                    z = prefix + (u, t)
+                    kappa = AlgElement(a, [sum(zi * row[j]
+                                               for zi, row in zip(z, col.hnf))
+                                           for j in range(n)], d)
+                    if l2.scaled(kappa) == l1:
+                        # -kappa works whenever kappa does; fix the sign of
+                        # the first nonzero power coordinate for a
+                        # deterministic answer
+                        lead = next(c for c in kappa.num if c)
+                        return -kappa if lead < 0 else kappa
     return None

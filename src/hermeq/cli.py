@@ -29,7 +29,7 @@ from .jsonio import (canonical_dumps, element_to_json, form_to_json,
                      load_table, matrix_to_json, pair_to_json,
                      poly_from_json, poly_to_json, read_int)
 from .quartic import iota, principality_evidence, verify_example
-from .reproduce import reproduce_all
+from .reproduce import SEEDS, reproduce_all
 
 
 def _parse_json(text, what):
@@ -342,13 +342,18 @@ def main(argv=None):
     out = canonical_dumps(payload) + "\n"
     sys.stdout.write(out)
     if args.manifest:
+        import platform
+        # the battery draws from fixed seeds; the factoring behind other
+        # commands is seeded by the number it factors, an input
+        seeds = SEEDS if args.command == "reproduce-all" else None
         manifest = {
             "command": args.command,
             "inputs": {"argv": list(argv)},
             "outputs": payload,
             "timings": {"seconds": round(time.monotonic() - start, 6)},
             "version": __version__,
-            "determinism_seed": None,
+            "python_version": platform.python_version(),
+            "determinism_seed": seeds,
         }
         with open(args.manifest, "w", encoding="utf-8") as fh:
             fh.write(canonical_dumps(manifest) + "\n")

@@ -2,8 +2,27 @@
 
 MPoly is a sparse multivariate polynomial over the integers with plain
 ring arithmetic.  Over it, intmat.det_cofactor expands symbolic
-determinants.
+determinants.  lines() is the walk order of the generator search box,
+one line along the last coordinate at a time.
 """
+
+from itertools import product
+
+
+def lines(n, bound):
+    """The search box of algebra.colon_and_kappa_search one line at a time
+    along the last coordinate: pairs (prefix, ts) such that prefix + (t,)
+    for t in ts runs over the vectors of sup-norm 1..bound whose first
+    nonzero entry is positive (norms are even in sign, so one of each +-
+    pair suffices), by sup-norm, then lex."""
+    zero = (0,) * (n - 1)
+    for s in range(1, bound + 1):
+        full = range(-s, s + 1)
+        for p in product(full, repeat=n - 1):
+            if p > zero:  # the first nonzero entry is positive
+                yield p, full if s in p or -s in p else (-s, s)
+            elif p == zero:
+                yield p, (s,)
 
 
 class MPoly:

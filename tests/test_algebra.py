@@ -1,21 +1,23 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from hermeq import intpoly
 from hermeq.algebra import (MAX_SEARCH_BOUND, AlgElement, EtaleAlgebra,
                             IdealLattice, _evaluators, _int_nth_root,
-                            _lines, colon_and_kappa_search, colon_lattice,
+                            colon_and_kappa_search, colon_lattice,
                             dual_lattice, elem_mul, endo_ring, invariant_order,
                             is_invertible, is_order, lattice_change_of_basis,
                             lattice_equal, lattice_mul, lattice_norm,
                             make_lattice, norm_form, trace_and_norm,
                             trace_form_disc, unit_lattice, zeta_lattice)
 from hermeq.forms import DecomposableForm, hermite_form
+from hermeq.intmat import hnf_lattice
 from hermeq.intpoly import DomainError
+from oracles import lines
 
 
 def rand_sf_poly(rng, maxdeg=5, monic=False, primitive=False):
@@ -211,6 +213,40 @@ def test_lattice_mul_cubic_square():
     i1 = zeta_lattice(CUBIC, 1)
     i2 = zeta_lattice(CUBIC, 2)
     assert lattice_mul(i1, i1) == i2
+
+
+def test_lattice_mul_matches_products_of_elements():
+    # the integer-row product against the n^2 products b_i c_j taken as
+    # AlgElements, each reduced on its own, over their least common
+    # denominator; nonmonic and reducible g, denominators above 1
+    rng = random.Random(83)
+    fractional = 0
+    algebras = [[-3, 1, 2], [7, 5, 3, 2], [2, -1, 0, 5, 3],
+                intpoly.poly_mul([-1, 2], [1, 0, 3]),  # (2X - 1)(3X^2 + 1)
+                intpoly.poly_mul([1, 1], [-2, 0, 0, 5])]
+    for g in algebras:
+        a = EtaleAlgebra(g)
+        n = a.n
+        for _ in range(4):
+            pair = []
+            while len(pair) < 2:
+                rows = [[rng.randint(-6, 6) for _ in range(n)]
+                        for _ in range(n)]
+                if hnf_lattice(rows, transform=False)[2] == n:
+                    pair.append(IdealLattice(a, rows, rng.randint(2, 12)))
+            l1, l2 = pair
+            prods = [x * y for x in l1.basis_elements()
+                     for y in l2.basis_elements()]
+            d = lcm(*(x.den for x in prods))
+            h, _, _ = hnf_lattice([[c * (d // x.den) for c in x.num]
+                                   for x in prods], transform=False)
+            want = IdealLattice(a, h, d)
+            got = lattice_mul(l1, l2)
+            assert got.rows == want.rows, g
+            assert got.denominator == want.denominator, g
+            assert got.hnf == want.hnf, g
+            fractional += got.denominator > 1
+    assert fractional >= 15
 
 
 def test_ideal_powers():
@@ -499,13 +535,14 @@ def box_reference(n, bound):
 def test_line_walk_visits_the_box_in_shell_then_lex_order():
     for n in range(2, 6):
         for bound in range(1, 4):
-            walked = [p + (t,) for p, ts in _lines(n, bound) for t in ts]
+            walked = [p + (t,) for p, ts in lines(n, bound) for t in ts]
             assert walked == box_reference(n, bound), (n, bound)
 
 
 def first_hit(l1, l2, bound):
     # brute-force reference: the exact norm of each candidate by
-    # determinant, then the lattice check, in the order of box_reference
+    # determinant, then the lattice check, in the order of box_reference;
+    # (z, kappa) for the first hit, or (None, None)
     a = l1.algebra
     col = colon_lattice(l1, l2)
     want = lattice_norm(l1, l2)
@@ -518,46 +555,110 @@ def first_hit(l1, l2, bound):
             continue
         if make_lattice(a, [list((kappa * b).coords)
                             for b in l2.basis_elements()]) == l1:
-            return -kappa if next(c for c in kappa.coords if c) < 0 else kappa
-    return None
+            if next(c for c in kappa.coords if c) < 0:
+                kappa = -kappa
+            return z, kappa
+    return None, None
+
+
+# (f, bound, direct, inverse): the first point of the box, by brute force,
+# that generates I_f(1) over R_f (direct) and R_f over I_f(1) (inverse)
+FIRST_HITS = [
+    # n = 2, an empty prefix, so every hit is in the zero-prefix block;
+    # (0, 1) is the one point of its line u = 0
+    ([-1, -2, 5], 3, (0, 1), (2, -1)),
+    ([-5, 1, 3], 3, (1, -1), None),
+    # n = 3, a one-coordinate prefix: a hit in the zero-prefix block, and
+    # a hit in the inverse orientation only
+    ([1, -5, 3, 3], 3, (0, 1, 0), (1, -1, 0)),
+    ([5, 3, -4, 3], 3, None, (2, 3, -2)),
+    # quartics: a hit in the direct orientation only, one in the inverse
+    # orientation only, one in both and one in neither
+    ([2, -2, 5, -5, 3], 3, (1, -1, 2, -1), None),
+    ([-5, -3, 4, -2, 2], 3, None, (3, 2, -1, -2)),
+    ([3, -4, 4, -2, 2], 3, (2, -3, 1, 0), (1, 2, 1, 1)),
+    ([4, -1, 0, 5, 2], 3, None, None),
+    # n = 5
+    ([2, -5, 1, 1, 4, 2], 2, None, (1, -2, -1, 2, 1)),
+    ([1, 5, -2, 1, -5, 5], 2, (0, 1, 0, 0, 0), None),
+]
 
 
 def test_kappa_search_returns_the_first_hit_of_the_box():
-    # [-5, -3, 4, -2, 2] hits only in the inverse orientation, [2, -2, 5,
-    # -5, 3] only in the direct one, and [4, -1, 0, 5, 2] in neither
-    hits = 0
-    for f in ([2, -2, 5, -5, 3], [-5, -3, 4, -2, 2], [3, -4, 4, -2, 2],
-              [4, -1, 0, 5, 2]):
+    for f, bound, direct, inverse in FIRST_HITS:
         a = EtaleAlgebra(f)
         order, ideal = zeta_lattice(f, 0, a), zeta_lattice(f, 1, a)
-        for l1, l2 in ((ideal, order), (order, ideal)):
-            want = first_hit(l1, l2, 3)
-            assert colon_and_kappa_search(l1, l2, 3) == want, f
-            hits += want is not None
-    assert hits == 4
+        for (l1, l2), z in (((ideal, order), direct),
+                            ((order, ideal), inverse)):
+            point, kappa = first_hit(l1, l2, bound)
+            assert point == z, f
+            assert colon_and_kappa_search(l1, l2, bound) == kappa, f
 
 
 def test_compiled_evaluators_match_direct_evaluation():
     # n = 2 has an empty head; every point of the box is checked through
-    # head, block and line against DecomposableForm.evaluate
+    # head and line against DecomposableForm.evaluate, and scan finds each
+    # value of a block and misses one beyond them all
     rng = random.Random(41)
     for n in range(2, 6):
         exps = [e for e in itertools.product(range(n + 1), repeat=n)
                 if sum(e) == n]
         form = DecomposableForm(n, {e: rng.randint(-40, 40) for e in exps})
-        monos, head, block, line = _evaluators(n)
+        monos, head, scan, line = _evaluators(n)
         assert sorted(monos) == exps
         coeffs = [form.terms.get(e, 0) for e in monos]
         points = 0
-        for prefix, lines in itertools.groupby(_lines(n, 2),
-                                               key=lambda l: l[0][:-1]):
-            lines = list(lines)
+        # a block: the lines of one shell s (every line holds t = s)
+        # that share a prefix
+        for (s, prefix), block in itertools.groupby(
+                lines(n, 2), key=lambda l: (max(l[1]), l[0][:-1])):
+            block = list(block)
             h = head(coeffs, *prefix)
-            direct = [[form.evaluate(p + (t,)) for t in ts] for p, ts in lines]
-            assert [line(h, p[-1], ts) for p, ts in lines] == direct
-            assert block(h, lines) == {v for vs in direct for v in vs}
+            direct = [[form.evaluate(p + (t,)) for t in ts] for p, ts in block]
+            assert [line(h, p[-1], ts) for p, ts in block] == direct
+            us = [p[-1] for p, _ in block]
+            rows = s in prefix or -s in prefix
+            values = {v for vs in direct for v in vs}
+            assert all(scan(h, us, s, rows, v) for v in values)
+            assert not scan(h, us, s, rows, max(map(abs, values)) + 1)
             points += sum(map(len, direct))
         assert points == (5 ** n - 1) // 2
+
+
+def test_scan_matches_brute_force():
+    # a full block (rows true), a ring block (every t only where |u| = s)
+    # and the zero prefix's half ring (u >= 0) against the values of the
+    # points each covers, by DecomposableForm.evaluate; every value and its
+    # negative must be found, and values outside +-that set must not
+    rng = random.Random(47)
+    for n in range(2, 6):
+        exps = [e for e in itertools.product(range(n + 1), repeat=n)
+                if sum(e) == n]
+        form = DecomposableForm(n, {e: rng.randint(-30, 30) for e in exps})
+        monos, head, scan, _ = _evaluators(n)
+        coeffs = [form.terms.get(e, 0) for e in monos]
+        for s in range(1, 4):
+            full = range(-s, s + 1)
+            inner = range(1 - s, s)
+            kinds = [(tuple(rng.choice(inner) for _ in range(n - 3)) + (s,),
+                      full, True),
+                     (tuple(rng.choice(inner) for _ in range(n - 2)),
+                      full, False),
+                     ((0,) * (n - 2), range(s + 1), False)]
+            for prefix, us, rows in kinds:
+                prefix = prefix[:n - 2]
+                h = head(coeffs, *prefix)
+                values = {form.evaluate(prefix + (u, t)) for u in us
+                          for t in (full if rows or abs(u) == s else (-s, s))}
+                for v in values:
+                    assert scan(h, us, s, rows, v), (n, s, prefix, rows, v)
+                    assert scan(h, us, s, rows, -v), (n, s, prefix, rows, v)
+                top = max(map(abs, values))
+                absent = [w for w in range(top + 3) if w not in values
+                          and -w not in values]
+                assert absent
+                for w in absent[:5] + absent[-5:]:
+                    assert not scan(h, us, s, rows, w), (n, s, prefix, w)
 
 
 @pytest.mark.parametrize("f, base, bound, count", [

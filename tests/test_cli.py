@@ -298,6 +298,40 @@ def test_manifest_written(capsys, tmp_path):
     assert payload["timings"]["seconds"] >= 0
 
 
+def test_manifest_records_python_version_and_battery_seeds(
+        capsys, tmp_path, monkeypatch):
+    # the battery itself is stubbed out: the seeds come from
+    # reproduce.SEEDS, which test_reproduce ties to the checks' own draws
+    import platform
+    from hermeq import cli
+    monkeypatch.setattr(cli, "reproduce_all",
+                        lambda **kw: {"all_ok": True, "results": []})
+    man = tmp_path / "manifest.json"
+    code, _, _ = run(capsys, "--manifest", str(man), "reproduce-all")
+    assert code == 0
+    payload = json.loads(man.read_text(encoding="utf-8"))
+    assert payload["command"] == "reproduce-all"
+    assert payload["python_version"] == platform.python_version()
+    assert payload["determinism_seed"] == {
+        "corpus": 20101, "gl2_transfer": 20103, "ideal_laws": 20104,
+        "norm_form_theorem": 20105, "cross_equivalence": 20115}
+
+
+def test_platform_is_imported_only_for_a_manifest(tmp_path):
+    man = tmp_path / "manifest.json"
+    code = ("import sys\n"
+            "from hermeq.cli import main\n"
+            "assert main(['disc', '--poly', '[1,0,1]']) == 0\n"
+            "assert 'platform' not in sys.modules\n"
+            "assert main(['--manifest', sys.argv[1], 'disc', '--poly',"
+            " '[1,0,1]']) == 0\n"
+            "assert 'platform' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(man)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(man.read_text(encoding="utf-8"))["python_version"]
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "hermeq.cli", "disc", "--poly", "[1,0,1]"],

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import random
 from importlib import resources
 
+from hermeq import reproduce
 from hermeq.jsonio import canonical_dumps, make_table
-from hermeq.reproduce import (_series_oracle_k, check_table1, check_table3,
-                              reproduce_all)
+from hermeq.reproduce import (SEEDS, _series_oracle_k, check_table1,
+                              check_table3, reproduce_all)
 
 
 def test_series_oracle_small_values():
@@ -23,6 +25,24 @@ def test_battery_passes_and_is_deterministic():
     assert first["all_ok"]
     assert [r["criterion"] for r in first["results"]] == list(range(1, 16))
     assert all(r["ok"] for r in first["results"])
+
+
+def test_the_battery_draws_from_its_declared_seeds(monkeypatch):
+    # every random.Random the seeded checks build takes a seed from SEEDS,
+    # and every seed in SEEDS is drawn from, so a manifest that records
+    # SEEDS records the battery's seeds
+    drawn = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            drawn.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(reproduce.random, "Random", Recording)
+    for num, _, fn in reproduce.CHECKS:
+        if num in (1, 2, 3, 4, 5, 14, 15):
+            assert fn()[0], num
+    assert set(drawn) == set(SEEDS.values())
 
 
 def test_table3_reports_the_disputed_generators():
