@@ -11,7 +11,7 @@ from math import gcd, isqrt, lcm
 
 from .forms import DecomposableForm, check_form_degree, laplace_minors
 from .intmat import (adjugate_solve, common_denominator, det_bareiss,
-                     hnf_lattice, inverse_rational, is_unimodular,
+                     hnf_lattice, identity, inverse_rational, is_unimodular,
                      mat_int_check, mat_mul, transpose)
 from .intpoly import (DomainError, degree, discriminant, normalize,
                       poly_eval, primitive_part, scaled_power_sums)
@@ -205,10 +205,12 @@ class AlgElement:
 
 def _products(a, xs, ys):
     # the integer rows of s * x * y, s = a.pow_scale, for each numerator
-    # row x in xs and then y in ys: the convolution of the two rows, folded
-    # into the power basis through pow_table
+    # row x in xs and then y in ys: the convolution of the two rows, with
+    # its coefficients of alpha^k, k < n, scaled by s and the rest folded
+    # into the power basis through pow_table, whose row k is s * alpha^k
     n = a.n
-    table = a.pow_table
+    s = a.pow_scale
+    high = a.pow_table[n:]
     out = []
     for x in xs:
         for y in ys:
@@ -217,8 +219,8 @@ def _products(a, xs, ys):
                 if c:
                     for j, d in enumerate(y):
                         conv[i + j] += c * d
-            row = [0] * n
-            for c, pw in zip(conv, table):
+            row = [s * c for c in conv[:n]]
+            for c, pw in zip(conv[n:], high):
                 if c:
                     for t in range(n):
                         row[t] += c * pw[t]
@@ -402,18 +404,33 @@ def _gram(l):
             f0 ** (2 * n - 2) * l.denominator ** 2)
 
 
-def dual_lattice(l):
-    """Trace-form dual {x : Tr(x L) in Z}, on the basis dual to that of l."""
-    gram, s = _gram(l)
-    # the dual basis is (G / s)^-1 b = s adj(G) rows / (det(G) denominator)
-    det, rows = adjugate_solve(gram, [[s * x for x in r] for r in l.rows])
-    return IdealLattice(l.algebra, rows, det * l.denominator)
-
-
 def colon_lattice(l1, l2):
-    """(l1 : l2) = {x : x*l2 inside l1}, via duality: dual(dual(l1) * l2)."""
+    """(l1 : l2) = {x : x*l2 inside l1}, solved for in integers.
+
+    Write l1 = H1 / d1 with H1 its HNF, and let b_j = r_j / d2 run over the
+    HNF basis of l2.  Row i of s * d2 * M(b_j), M(b) the multiplication
+    matrix of b and s the algebra's pow_scale, is the integer row
+    s * alpha^i * r_j, so P_j = s * d2 * M(b_j) comes from one _products
+    call for all j.  x lies in the colon exactly when x M(b_j) H1^-1 d1 is
+    integral for every j, that is x c / D is an integer for every column c
+    of every P_j adj(H1), with D = s d2 det(H1) / d1.  Those columns span
+    the row lattice of an n x n HNF H, so the colon is D (H^T)^-1, read off
+    as D adj(H^T) / det(H) by one adjugate_solve.
+    """
     _same_algebra(l1, l2)
-    return dual_lattice(lattice_mul(dual_lattice(l1), l2))
+    a = l1.algebra
+    n = a.n
+    det1, adj1 = adjugate_solve(l1.hnf, identity(n))
+    prods = mat_mul(_products(a, identity(n), l2.hnf), adj1)
+    # the column c of P_j adj(H1): entry i is row i * n + j, column c
+    h, _, _ = hnf_lattice([[prods[i * n + j][c] for i in range(n)]
+                           for j in range(n) for c in range(n)],
+                          transform=False)
+    scale = a.pow_scale * l2.denominator * det1
+    det, rows = adjugate_solve(transpose(h), [[scale * (i == j)
+                                               for j in range(n)]
+                                              for i in range(n)])
+    return IdealLattice(a, rows, det * l1.denominator)
 
 
 def endo_ring(l):
@@ -442,14 +459,20 @@ def is_invertible(l, o):
 
 def _integer_norm_form(algebra, rows):
     # (terms, d): N(z1 r1 + ... + zn rn) for integer rows r_i as the integer
-    # form det(d*M) = d^n N(sum z_i r_i), exponent tuples -> coefficients
+    # form det(d*M) = d^n N(sum z_i r_i), exponent tuples -> coefficients.
+    # Row k of s*M(x) is s alpha^k x = sum_j x_j pow_table[k + j], so z_i's
+    # coefficient in entry (k, c) of s*M is entry (i, c) of the rows times
+    # pow_table[k:k + n]; d = s / g with g the gcd of s and all those
+    # coefficients, the least common denominator of the multiplication
+    # matrices of the r_i
     n = algebra.n
-    alpha = algebra.alpha()
-    mats = [product_rows(AlgElement(algebra, row), alpha) for row in rows]
-    d = lcm(*(dm for _, dm in mats))
-    sym = [[[m[r][c] * (d // dm) for m, dm in mats] for c in range(n)]
-           for r in range(n)]  # entry (r, c): z_i's coefficients in d*M
-    return laplace_minors(sym, n, lambda cols: 1), d
+    table = algebra.pow_table
+    s = algebra.pow_scale
+    sym = [transpose(mat_mul(rows, table[k:k + n])) for k in range(n)]
+    g = gcd(s, *(x for line in sym for entry in line for x in entry))
+    if g > 1:
+        sym = [[[x // g for x in entry] for entry in line] for line in sym]
+    return laplace_minors(sym, n, lambda cols: 1), s // g
 
 
 def norm_form(l, o):
@@ -517,7 +540,8 @@ def _evaluators(n):
     z_0..z_{n-1}, given as its coefficient vector C on the monomials monos.
 
     With u = z_{n-2} and t = z_{n-1}, head(C, z_0, ..., z_{n-3}) gives the
-    coefficients a of the form P as a polynomial in (u, t), and
+    coefficients a of the form P as a polynomial in (u, t), forming each
+    monomial of z_0..z_{n-3} once and sharing it across them; and
     line(a, u, ts) is the list of its values at (u, t) for t in ts, by
     Horner in u and then in t.
 
@@ -534,10 +558,24 @@ def _evaluators(n):
     zs = ["z%d" % i for i in range(n - 2)]
     # a[k] is the coefficient of u^i t^j, (j, i) = pairs[k], t-degree first
     pairs = [(j, i) for j in range(n, -1, -1) for i in range(n - j, -1, -1)]
+    # head forms each monomial of the prefix once, as a product of one of
+    # degree one less and a z; pre names it (None for the empty monomial)
+    pre = {(0,) * (n - 2): None}
+    shared = []
+    for e in sorted({e[:-2] for e in monos}, key=lambda e: (sum(e), e)):
+        if any(e):
+            k = next(i for i, m in enumerate(e) if m)
+            low = pre[e[:k] + (e[k] - 1,) + e[k + 1:]]
+            if low is None:
+                pre[e] = zs[k]
+            else:
+                pre[e] = "m%d" % len(shared)
+                shared.append("%s = %s*%s" % (pre[e], low, zs[k]))
     parts = {pr: [] for pr in pairs}
     for k, e in enumerate(monos):
-        mono = "".join("*" + z for z, m in zip(zs, e) for _ in range(m))
-        parts[e[-1], e[-2]].append("C[%d]%s" % (k, mono))
+        mono = pre[e[:-2]]
+        parts[e[-1], e[-2]].append("C[%d]*%s" % (k, mono) if mono
+                                   else "C[%d]" % k)
     names = ["a%d" % k for k in range(len(pairs))]
 
     def code(lines, indent):
@@ -569,9 +607,9 @@ def _evaluators(n):
             "o = " + _horner(["B%d" % i for i in range(n - 1, -1, -1)], "u")
             ] + both
     unpack = "    %s, = a\n" % ", ".join(names)
-    src = ("def head(%s):\n    return (%s,)\n"
-           % (", ".join(["C"] + zs),
-              ", ".join(" + ".join(parts[pr]) or "0" for pr in pairs))
+    src = ("def head(%s):\n" % ", ".join(["C"] + zs) + code(shared, 4)
+           + "    return (%s,)\n"
+           % ", ".join(" + ".join(parts[pr]) or "0" for pr in pairs)
            + "def line(a, u, ts):\n" + unpack + code(coeffs, 4)
            + "    return [%s for t in ts]\n"
            % _horner(["c%d" % k for k in range(n + 1)], "t")

@@ -5,8 +5,9 @@ form computation, the equivalence checks, table partitions, family
 generation, the quartic example, bound evaluation, and the full
 reproduction battery.  All results go to stdout as canonical JSON (big
 integers as decimal strings), diagnostics go to stderr, and the exit
-code is the verdict: 0 affirmative, 1 negative, 2 usage or bad input,
-3 internal failure (a broken invariant or an arithmetic error, never a
+code is the verdict: 0 affirmative, 1 negative, 2 usage or bad input
+(including a path that cannot be read or written), 3 internal failure
+(any other exception: a broken invariant or an arithmetic error, never a
 verdict).
 """
 
@@ -321,42 +322,47 @@ def _build_parser():
     return parser
 
 
+def _write_manifest(args, argv, payload, start):
+    import platform
+    # the battery draws from fixed seeds; the factoring behind other
+    # commands is seeded by the number it factors, an input
+    seeds = SEEDS if args.command == "reproduce-all" else None
+    manifest = {
+        "command": args.command,
+        "inputs": {"argv": list(argv)},
+        "outputs": payload,
+        "timings": {"seconds": round(time.monotonic() - start, 6)},
+        "version": __version__,
+        "python_version": platform.python_version(),
+        "determinism_seed": seeds,
+    }
+    with open(args.manifest, "w", encoding="utf-8") as fh:
+        fh.write(canonical_dumps(manifest) + "\n")
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser()
     args = parser.parse_args(argv)
     start = time.monotonic()
+    # stdout is written last, so a failure leaves it empty
     try:
         code, payload = args.handler(args)
-    except CertificateError as exc:
+        out = canonical_dumps(payload) + "\n"
+        if args.manifest:
+            _write_manifest(args, argv, payload, start)
+    except (CertificateError, ValueError, OSError) as exc:
+        # bad input, a refused certificate, or a path that cannot be read
+        # or written
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except ValueError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
-    except (AssertionError, ArithmeticError, RecursionError) as exc:
+    except Exception as exc:
+        # anything else is a broken invariant, never a verdict
         sys.stderr.write("error: internal failure: %s: %s\n"
                          % (type(exc).__name__, " ".join(str(exc).split())))
         return 3
-    out = canonical_dumps(payload) + "\n"
     sys.stdout.write(out)
-    if args.manifest:
-        import platform
-        # the battery draws from fixed seeds; the factoring behind other
-        # commands is seeded by the number it factors, an input
-        seeds = SEEDS if args.command == "reproduce-all" else None
-        manifest = {
-            "command": args.command,
-            "inputs": {"argv": list(argv)},
-            "outputs": payload,
-            "timings": {"seconds": round(time.monotonic() - start, 6)},
-            "version": __version__,
-            "python_version": platform.python_version(),
-            "determinism_seed": seeds,
-        }
-        with open(args.manifest, "w", encoding="utf-8") as fh:
-            fh.write(canonical_dumps(manifest) + "\n")
     return code
 
 

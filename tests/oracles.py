@@ -3,10 +3,23 @@
 MPoly is a sparse multivariate polynomial over the integers with plain
 ring arithmetic.  Over it, intmat.det_cofactor expands symbolic
 determinants.  lines() is the walk order of the generator search box,
-one line along the last coordinate at a time.
+one line along the last coordinate at a time.  dual_lattice() is the
+trace-form dual, the route to colon lattices by duality.
 """
 
 from itertools import product
+
+from hermeq.algebra import IdealLattice, _gram
+from hermeq.intmat import adjugate_solve
+
+
+def dual_lattice(l):
+    """Trace-form dual {x : Tr(x L) in Z}, on the basis dual to that of l,
+    so that (l1 : l2) = dual_lattice(lattice_mul(dual_lattice(l1), l2))."""
+    gram, s = _gram(l)
+    # the dual basis is (G / s)^-1 b = s adj(G) rows / (det(G) denominator)
+    det, rows = adjugate_solve(gram, [[s * x for x in r] for r in l.rows])
+    return IdealLattice(l.algebra, rows, det * l.denominator)
 
 
 def lines(n, bound):

@@ -8,8 +8,8 @@ import pytest
 from hermeq import intpoly
 from hermeq.algebra import (MAX_SEARCH_BOUND, AlgElement, EtaleAlgebra,
                             IdealLattice, _evaluators, _int_nth_root,
-                            colon_and_kappa_search, colon_lattice,
-                            dual_lattice, elem_mul, endo_ring, invariant_order,
+                            colon_and_kappa_search, colon_lattice, elem_mul,
+                            endo_ring, invariant_order,
                             is_invertible, is_order, lattice_change_of_basis,
                             lattice_equal, lattice_mul, lattice_norm,
                             make_lattice, norm_form, trace_and_norm,
@@ -17,7 +17,7 @@ from hermeq.algebra import (MAX_SEARCH_BOUND, AlgElement, EtaleAlgebra,
 from hermeq.forms import DecomposableForm, hermite_form
 from hermeq.intmat import hnf_lattice
 from hermeq.intpoly import DomainError
-from oracles import lines
+from oracles import dual_lattice, lines
 
 
 def rand_sf_poly(rng, maxdeg=5, monic=False, primitive=False):
@@ -350,6 +350,36 @@ def test_dual_of_dual():
     for k in range(3):
         l = zeta_lattice(CUBIC, k, a)
         assert dual_lattice(dual_lattice(l)) == l
+
+
+def test_colon_lattice_matches_the_trace_dual_route():
+    # colon_lattice solves x M(b) in l1 for the basis b of l2 directly; the
+    # duality (l1 : l2) = dual(dual(l1) l2) reaches it through the trace form
+    rng = random.Random(1307)
+    algebras = [[0, -2, 0, 1]]  # X^3 - 2X, reducible
+    for n in range(2, 6):
+        for lead in (1, -1, 2, -3, 5):
+            while True:
+                g = [rng.randint(-6, 6) for _ in range(n)] + [lead]
+                if intpoly.discriminant(g) != 0:
+                    break
+            algebras.append(g)
+    for g in algebras:
+        a = EtaleAlgebra(g)
+        n = a.n
+        lattices = [zeta_lattice(g, rng.randrange(n), a)]
+        while len(lattices) < 4:
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            try:
+                lattices.append(IdealLattice(a, rows, rng.randint(1, 6)))
+            except DomainError:
+                pass
+        for l1 in lattices:
+            for l2 in lattices:  # l1 = l2 included
+                col = colon_lattice(l1, l2)
+                ref = dual_lattice(lattice_mul(dual_lattice(l1), l2))
+                assert (col.denominator, col.hnf) == \
+                    (ref.denominator, ref.hnf), (g, l1, l2)
 
 
 def test_integer_trace_form_matches_multiplication_matrix_traces():

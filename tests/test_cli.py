@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermeq import quartic
 from hermeq.algebra import MAX_SEARCH_BOUND
 from hermeq.cli import main
 from hermeq.forms import MAX_FORM_DEGREE
@@ -210,6 +211,39 @@ def test_internal_failure_exits_3_without_output(capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_failed_generator_confirmation_exits_3(capsys, monkeypatch):
+    # a search whose inverse-orientation lambda is wrong: the confirmation
+    # in principality_evidence raises RuntimeError, which is not a verdict
+    calls = []
+
+    def wrong_search(l1, l2, bound):
+        calls.append(bound)
+        return None if len(calls) == 1 else 2 * l1.algebra.one()
+
+    monkeypatch.setattr(quartic, "colon_and_kappa_search", wrong_search)
+    code, out, err = run(capsys, "quartic", "principal-evidence",
+                         "--poly", "[255,13,-62,-1,4]", "--bound", "2")
+    assert len(calls) == 2
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: internal failure: RuntimeError")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition", "--table", "{tmp}"],
+    ["family", "gen", "--n", "4", "--out", "{tmp}/missing/pair.json"],
+    ["--manifest", "{tmp}/missing/manifest.json", "disc", "--poly",
+     "[1,0,1]"],
+])
+def test_unusable_paths_exit_2(capsys, tmp_path, argv):
+    # a directory given as a table, and an output file in a missing
+    # directory, are bad input, not a negative verdict; stdout stays empty
+    code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_negative_search_bound_exits_2(capsys):
