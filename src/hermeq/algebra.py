@@ -11,8 +11,7 @@ from math import gcd, isqrt, lcm
 
 from .forms import DecomposableForm, check_form_degree, laplace_minors
 from .intmat import (adjugate_solve, common_denominator, det_bareiss,
-                     hnf_lattice, identity, inverse_rational, is_unimodular,
-                     mat_int_check, mat_mul, transpose)
+                     hnf_lattice, identity, mat_mul, transpose)
 from .intpoly import (DomainError, degree, discriminant, normalize,
                       poly_eval, primitive_part, scaled_power_sums)
 
@@ -236,12 +235,6 @@ def elem_mul(x, y):
     return AlgElement(a, row, x.den * y.den * a.pow_scale)
 
 
-def trace_and_norm(x):
-    rows, d = product_rows(x, x.algebra.alpha())
-    return (Fraction(sum(r[i] for i, r in enumerate(rows)), d),
-            Fraction(det_bareiss(rows), d ** len(rows)))
-
-
 class IdealLattice:
     """Full-rank Z-lattice in an etale algebra.
 
@@ -258,7 +251,7 @@ class IdealLattice:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError("lattice basis must be square of algebra degree")
         rows, den = _lowest(rows, den)
-        h, _, rank = hnf_lattice(rows, transform=False)
+        h, rank = hnf_lattice(rows)
         if rank != n:
             raise DomainError("lattice basis is singular")
         self.algebra = algebra
@@ -311,16 +304,6 @@ class IdealLattice:
         return True
 
 
-def make_lattice(algebra, rows):
-    return IdealLattice(algebra, rows)
-
-
-def unit_lattice(algebra):
-    n = algebra.n
-    return IdealLattice(algebra,
-                        [[int(i == j) for j in range(n)] for i in range(n)])
-
-
 def zeta_lattice(f, k, algebra=None):
     """The invariant lattice I_f(k) inside K_f.
 
@@ -369,7 +352,7 @@ def lattice_mul(l1, l2):
     # the products b_i c_j as integer rows over one denominator; the HNF
     # commutes with positive scaling, so IdealLattice reduces its result to
     # the rows and denominator of the products reduced one by one
-    h, _, rank = hnf_lattice(_products(a, l1.rows, l2.rows), transform=False)
+    h, rank = hnf_lattice(_products(a, l1.rows, l2.rows))
     if rank != a.n:
         raise DomainError("product lattice is not full rank")
     return IdealLattice(a, h, l1.denominator * l2.denominator * a.pow_scale)
@@ -378,16 +361,6 @@ def lattice_mul(l1, l2):
 def lattice_equal(l1, l2):
     _same_algebra(l1, l2)
     return l1 == l2
-
-
-def lattice_change_of_basis(l1, l2):
-    """Unimodular U with basis(l1) = U * basis(l2), or None if l1 != l2."""
-    _same_algebra(l1, l2)
-    if l1 != l2:
-        return None
-    u = mat_int_check(mat_mul(l1.basis, inverse_rational(l2.basis)))
-    assert is_unimodular(u)
-    return u
 
 
 def _gram(l):
@@ -423,19 +396,13 @@ def colon_lattice(l1, l2):
     det1, adj1 = adjugate_solve(l1.hnf, identity(n))
     prods = mat_mul(_products(a, identity(n), l2.hnf), adj1)
     # the column c of P_j adj(H1): entry i is row i * n + j, column c
-    h, _, _ = hnf_lattice([[prods[i * n + j][c] for i in range(n)]
-                           for j in range(n) for c in range(n)],
-                          transform=False)
+    h, _ = hnf_lattice([[prods[i * n + j][c] for i in range(n)]
+                        for j in range(n) for c in range(n)])
     scale = a.pow_scale * l2.denominator * det1
     det, rows = adjugate_solve(transpose(h), [[scale * (i == j)
                                                for j in range(n)]
                                               for i in range(n)])
     return IdealLattice(a, rows, det * l1.denominator)
-
-
-def endo_ring(l):
-    """The multiplier ring {x : x*L inside L}; always a ring containing 1."""
-    return colon_lattice(l, l)
 
 
 def trace_form_disc(l):
@@ -449,12 +416,6 @@ def is_order(o):
         return False
     elems = o.basis_elements()
     return all(o.contains(x * y) for x in elems for y in elems)
-
-
-def is_invertible(l, o):
-    """Whether l is invertible as an o-module: l * (o : l) = o."""
-    _same_algebra(l, o)
-    return lattice_mul(l, colon_lattice(o, l)) == o
 
 
 def _integer_norm_form(algebra, rows):

@@ -12,7 +12,8 @@
 # of basis carrying one form to the other.
 
 from .algebra import EtaleAlgebra, product_rows
-from .intmat import hnf_lattice, identity, is_unimodular, left_kernel, mat_mul
+from .intmat import (adjugate_solve, identity, is_unimodular, left_kernel,
+                     mat_mul)
 from .intpoly import (DomainError, constant_term, content, degree,
                       discriminant, leading, normalize, poly_add,
                       poly_compose, poly_divmod_exact, poly_eval, poly_mul,
@@ -198,11 +199,14 @@ def _charpoly(m):
 
 def _power_basis(alg, beta):
     # (P, P^-1) if the powers of beta are a Z-basis of the lattice the
-    # powers of alpha span, else None: the power matrix P is integral with
-    # HNF the identity, and then the HNF transform T (T P = I) is P^-1
+    # powers of alpha span, else None: the power matrix P is integral and
+    # its HNF is the identity, that is det(P) = +-1, and then
+    # P^-1 = adj(P) / det(P) = det(P) adj(P)
     p, d = product_rows(alg.one(), beta)
-    h, t, _ = hnf_lattice(p)
-    return (p, t) if d == 1 and h == identity(alg.n) else None
+    det, adj = adjugate_solve(p, identity(alg.n))
+    if d != 1 or det not in (1, -1):
+        return None
+    return p, [[det * x for x in r] for r in adj]
 
 
 class _BetaContext:
@@ -219,6 +223,15 @@ class _BetaContext:
         self.minpoly = _charpoly(product_rows(beta, alg.alpha())[0])
 
 
+def _full_coords(n, beta, what):
+    # (0, b_2, ..., b_n): a vector (b_2, ..., b_n) against the root of a
+    # degree-n polynomial as all n power coordinates
+    if len(beta) != n - 1:
+        raise DomainError("%s has %d entries; degree %d needs n - 1 = %d"
+                          % (what, len(beta), n, n - 1))
+    return [0] + list(beta)
+
+
 def _pair_witness(ctx_i, beta_j_full):
     w = mat_mul([beta_j_full], ctx_i.pinv)[0]
     w[0] = 0  # translate the constant coordinate away
@@ -227,48 +240,27 @@ def _pair_witness(ctx_i, beta_j_full):
     return gl2_witness_solve(ctx_i.minpoly, w[1:])
 
 
-def beta_power_matrix(f, beta_full):
-    """Rows = coordinates of beta^0, ..., beta^(n-1) in the power basis."""
-    alg = EtaleAlgebra(f)
-    p, d = product_rows(alg.one(), alg.from_poly(beta_full))
-    if d != 1:
-        raise DomainError("powers of beta are not integral")
-    return p
-
-
-def beta_minpoly(f, beta):
-    """Characteristic polynomial of multiplication by beta on Z[alpha].
-
-    Equals the minimal polynomial whenever beta generates the algebra
-    (always the case for the table inputs, where Z[beta] = Z[alpha]).
-    """
-    f = normalize(f)
-    n = degree(f)
-    if leading(f) != 1:
-        raise DomainError("needs a monic polynomial")
-    alg = EtaleAlgebra(f)
-    beta_el = alg.from_poly([0] + list(beta)) if len(beta) == n - 1 \
-        else alg.from_poly(beta)
-    return _charpoly(product_rows(beta_el, alg.alpha())[0])
-
-
 def gl2_pair_test(f, beta_i, beta_j):
     """Witness that beta_j is a GL2(Z) Moebius image of beta_i, or None.
 
-    Both vectors are (b_2, ..., b_n) against the root alpha of f.  beta_j is
-    rewritten in the power basis of beta_i (which must again be a Z-basis of
-    Z[alpha]; anything else is a PreconditionError) and the witness system
-    is solved against the minimal polynomial of beta_i.
+    Both vectors are (b_2, ..., b_n) against the root alpha of f; any other
+    length is a DomainError.  beta_j is rewritten in the power basis of
+    beta_i (which must again be a Z-basis of Z[alpha]; anything else is a
+    PreconditionError) and the witness system is solved against the
+    minimal polynomial of beta_i.
     """
     f = normalize(f)
     if leading(f) != 1:
         raise DomainError("pair test needs a monic polynomial")
-    ctx = _BetaContext(EtaleAlgebra(f), [0] + list(beta_i))
-    return _pair_witness(ctx, [0] + list(beta_j))
+    n = degree(f)
+    beta_i = _full_coords(n, beta_i, "beta")
+    beta_j = _full_coords(n, beta_j, "target")
+    return _pair_witness(_BetaContext(EtaleAlgebra(f), beta_i), beta_j)
 
 
 def partition_gl2(f, betas):
-    """Classes of indices under pairwise GL2(Z)-relatedness of the betas.
+    """Classes of indices under pairwise GL2(Z)-relatedness of the betas,
+    each (b_2, ..., b_n) as in gl2_pair_test.
 
     The pair test runs in both directions (the constant-coordinate
     normalization could in principle see the two sides differently) and the
@@ -278,9 +270,11 @@ def partition_gl2(f, betas):
     f = normalize(f)
     if leading(f) != 1:
         raise DomainError("partition needs a monic polynomial")
+    n = degree(f)
+    full = [_full_coords(n, b, "beta at index %d" % i)
+            for i, b in enumerate(betas)]
     alg = EtaleAlgebra(f)
-    ctxs = [_BetaContext(alg, [0] + list(b)) for b in betas]
-    full = [[0] + list(b) for b in betas]
+    ctxs = [_BetaContext(alg, b) for b in full]
     m = len(betas)
     parent = list(range(m))
 

@@ -1,6 +1,6 @@
 # Exact dense matrix kernels: fraction-free determinants, row-style Hermite
-# normal form (with its transformation matrix where a caller reads it),
-# integer kernels, adjugates and fraction-free solves.
+# normal form (hnf with its transformation matrix, hnf_lattice without),
+# integer kernels and fraction-free adjugate solves.
 #
 # Matrices are lists of row lists.  Nothing here is optimized for size; every
 # matrix in this package is tiny (dimension at most a few dozen) and the only
@@ -56,13 +56,6 @@ def mat_mul(a, b):
                 for j in range(cb):
                     orow[j] += x * brow[j]
     return out
-
-
-def vec_mat(v, m):
-    r, c = mat_dims(m)
-    if len(v) != r:
-        raise DimensionError("vector-matrix shape mismatch")
-    return [sum(v[i] * m[i][j] for i in range(r)) for j in range(c)]
 
 
 def det_bareiss(m):
@@ -131,22 +124,6 @@ def common_denominator(m):
     m = [[Fraction(x) for x in row] for row in m]
     d = lcm(*(x.denominator for row in m for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
-
-
-def det_rational(m):
-    """Determinant of a matrix with Fraction (or int) entries."""
-    a, d = common_denominator(m)
-    return Fraction(det_bareiss(a), d ** len(a))
-
-
-def adjugate(m):
-    """The integer adjugate adj(m), so m adj(m) = adj(m) m = det(m) I, by its
-    definition through cofactors; singular m included.  O(n^5): callers
-    that need adj(m) b for nonsingular m use adjugate_solve."""
-    n = len(m)
-    return [[(-1) ** (i + j) * det_bareiss([r[:i] + r[i + 1:] for k, r in
-                                            enumerate(m) if k != j])
-             for j in range(n)] for i in range(n)]
 
 
 def adjugate_solve(m, b):
@@ -259,20 +236,6 @@ def _with_identity(m):
     return r, c, rows
 
 
-def _hnf(m, transform):
-    # (H, T, rank) as hnf_lattice returns them.  hnf calls this rather
-    # than hnf_lattice, so a traced run counts each public call once.
-    if transform:
-        _, c, rows = _with_identity(m)
-    else:
-        _, c = mat_dims(m)
-        rows = mat_copy(m)
-    rank = len(_hnf_echelon(rows, c))
-    if not transform:
-        return rows[:rank], None, rank
-    return [row[:c] for row in rows[:rank]], [row[c:] for row in rows], rank
-
-
 def hnf(m):
     """Row-style Hermite normal form of a full-row-rank integer matrix.
 
@@ -280,20 +243,21 @@ def hnf(m):
     positive pivots and entries above each pivot reduced into [0, pivot).
     Raises RankError if the rows are dependent.
     """
-    h, t, rank = _hnf(m, True)
-    if rank != len(m):
+    r, c, rows = _with_identity(m)
+    if len(_hnf_echelon(rows, c)) != r:
         raise RankError("matrix does not have full row rank")
-    return h, t
+    return [row[:c] for row in rows], [row[c:] for row in rows]
 
 
-def hnf_lattice(m, *, transform=True):
+def hnf_lattice(m):
     """HNF basis of the row lattice of m (any shape); zero rows dropped.
 
-    Returns (H, T, rank): H = the first `rank` rows of T m, T unimodular.
-    T is formed by reducing [m | I]; with transform=False it is not formed
-    and None takes its place.
+    Returns (H, rank), H the first `rank` rows of the HNF of m.
     """
-    return _hnf(m, transform)
+    _, c = mat_dims(m)
+    rows = mat_copy(m)
+    rank = len(_hnf_echelon(rows, c))
+    return rows[:rank], rank
 
 
 def left_kernel(m):
@@ -303,8 +267,7 @@ def left_kernel(m):
     if rank == r:
         return []
     # the transform rows of the zero rows of H span the kernel
-    kh, _, krank = hnf_lattice([row[c:] for row in rows[rank:]],
-                               transform=False)
+    kh, krank = hnf_lattice([row[c:] for row in rows[rank:]])
     assert krank == r - rank
     return kh
 
@@ -324,10 +287,3 @@ def is_unimodular(m):
         return False
     return det_bareiss(m) in (1, -1)
 
-
-def mat_int_check(m):
-    """Cast a Fraction matrix to int entries; ValueError on non-integers."""
-    a, d = common_denominator(m)
-    if d != 1:
-        raise ValueError("non-integer entry")
-    return a

@@ -3,10 +3,8 @@
 # A polynomial is a list of coefficients in ascending order: p[i] is the
 # coefficient of X^i.  The zero polynomial is the empty list.  Trailing
 # (high-order) zeros are never stored; normalize() strips them.  Coefficients
-# are ints; power_sums alone returns Fractions, a view of the integers of
-# scaled_power_sums.
+# are ints.
 
-from fractions import Fraction
 from math import gcd
 
 from .intmat import det_bareiss
@@ -151,11 +149,6 @@ def poly_divmod_exact(a, b):
     return normalize(q), normalize(r)
 
 
-def divides_exactly(b, a):
-    q, r = poly_divmod_exact(a, b)
-    return (not r), q
-
-
 def reverse(p, n=None):
     """X^n * p(1/X) for n >= deg p (defaults to deg p)."""
     p = normalize(p)
@@ -246,16 +239,6 @@ def scaled_power_sums(f, m):
         qs.append(-k * e[k] - sum(e[i] * qs[k - i]
                                   for i in range(1, min(k, n + 1))))
     return qs
-
-
-def power_sums(f, m):
-    """Sums of k-th powers of the roots of f, k = 0..m, as Fractions.
-
-    These are the traces of alpha^k in Q[X]/(f) when f is squarefree.
-    """
-    qs = scaled_power_sums(f, m)
-    f0 = normalize(f)[-1]
-    return [Fraction(q, f0 ** k) for k, q in enumerate(qs)]
 
 
 def roots_mod_p(f, p):

@@ -81,15 +81,6 @@ def matrix_to_json(m):
     return [[int_to_str(x) for x in row] for row in m]
 
 
-def matrix_from_json(obj, what="matrix"):
-    if (not isinstance(obj, list) or not obj
-            or any(not isinstance(r, list) for r in obj)
-            or len({len(r) for r in obj}) != 1):
-        raise DomainError("%s must be a rectangular JSON array of arrays"
-                          % what)
-    return [int_list_from_json(r, what + " row") for r in obj]
-
-
 def fraction_to_str(x):
     x = Fraction(x)
     num = int_to_str(x.numerator)
@@ -128,18 +119,6 @@ def table_checksum(payload):
 
     body = {k: payload[k] for k in payload if k != "sha256"}
     return hashlib.sha256(canonical_dumps(body).encode()).hexdigest()
-
-
-def make_table(name, minpoly, betas, classes):
-    payload = {
-        "version": 1,
-        "name": name,
-        "minpoly": poly_to_json(minpoly),
-        "betas": [[str(c) for c in b] for b in betas],
-        "classes": [sorted(c) for c in classes],
-    }
-    payload["sha256"] = table_checksum(payload)
-    return payload
 
 
 def parse_table(payload):

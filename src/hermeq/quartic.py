@@ -14,7 +14,7 @@
 # the action moves by a plain variable substitution.
 
 from .intmat import mat_mul, transpose, is_unimodular, mat_dims
-from .intpoly import DomainError, normalize, degree, discriminant, poly_mul
+from .intpoly import DomainError, normalize, degree, discriminant
 from .algebra import EtaleAlgebra, zeta_lattice, colon_and_kappa_search
 from .primes import is_squarefree
 
@@ -89,31 +89,6 @@ def act(pair, gamma, m):
     na = [[r * ca[i][j] + s * cb[i][j] for j in range(3)] for i in range(3)]
     nb = [[t * ca[i][j] + u * cb[i][j] for j in range(3)] for i in range(3)]
     return QuarticPair(na, nb)
-
-
-def resolvent_cubic(pair):
-    """Coefficients [e0, e1, e2, e3] of the binary cubic det(dA x - dB y) / 2.
-
-    e_k multiplies x^(3-k) y^k.  In terms of the underlying halved forms
-    this is 4 det(A x - B y); for iota(f) it comes out as the classical
-    cubic resolvent x^3 + f2 x^2 y + (f1 f3 - 4 f0 f4) x y^2
-    + (f0 f3^2 + f1^2 f4 - 4 f0 f2 f4) y^3.  Acting by (gamma, m) with
-    m = [[r, s], [t, u]] substitutes (x, y) -> (r x - t y, -s x + u y).
-    """
-    if not isinstance(pair, QuarticPair):
-        raise DomainError("expected a QuarticPair")
-    e = [[[pair.a[i][j], -pair.b[i][j]] for j in range(3)] for i in range(3)]
-    total = [0, 0, 0, 0]
-    for (i, j, k), sign in ((( 0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                            ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1)):
-        term = poly_mul(poly_mul(e[0][i], e[1][j]), e[2][k])
-        for t, c in enumerate(term):  # poly_mul strips trailing zeros
-            total[t] += sign * c
-    for t in range(4):
-        if total[t] % 2:
-            raise DomainError("pencil determinant of a doubled pair is even")
-        total[t] //= 2
-    return total
 
 
 def principality_evidence(f, bound=16):

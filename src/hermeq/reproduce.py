@@ -16,9 +16,9 @@ import random
 import time
 from fractions import Fraction
 
-from .algebra import (EtaleAlgebra, invariant_order, lattice_equal,
-                      lattice_mul, lattice_norm, trace_form_disc,
-                      zeta_lattice, make_lattice, norm_form)
+from .algebra import (EtaleAlgebra, IdealLattice, invariant_order,
+                      lattice_equal, lattice_mul, lattice_norm, norm_form,
+                      trace_form_disc, zeta_lattice)
 from .bounds import coeff_bound_log, max_degree, split_counts
 from .equivalence import (DegreeDropError, PreconditionError, gl2_act,
                           hermite_witness_check, partition_gl2,
@@ -167,7 +167,7 @@ def check_norm_form_theorem():
         n = degree(f)
         r = zeta_lattice(f, 0, alg)
         top = zeta_lattice(f, n - 1, alg)
-        desc = make_lattice(alg, [[int(j == n - 1 - i) for j in range(n)]
+        desc = IdealLattice(alg, [[int(j == n - 1 - i) for j in range(n)]
                                   for i in range(n)])
         if not lattice_equal(top, desc):
             failures.append({"f": f, "reason": "top ideal is not the "

@@ -4,13 +4,94 @@ MPoly is a sparse multivariate polynomial over the integers with plain
 ring arithmetic.  Over it, intmat.det_cofactor expands symbolic
 determinants.  lines() is the walk order of the generator search box,
 one line along the last coordinate at a time.  dual_lattice() is the
-trace-form dual, the route to colon lattices by duality.
+trace-form dual, the route to colon lattices by duality.  adjugate() is
+the cofactor definition that intmat.adjugate_solve is checked against;
+power_sums() and trace_and_norm() are Fraction views of the traces and
+norms hermeq computes in integers; unit_lattice() is Z[alpha];
+make_table() writes table fixtures; resolvent_cubic() is the pencil
+determinant of a quartic pair, which quartic.act moves by a variable
+substitution.
 """
 
+from fractions import Fraction
 from itertools import product
 
-from hermeq.algebra import IdealLattice, _gram
-from hermeq.intmat import adjugate_solve
+from hermeq.algebra import IdealLattice, _gram, product_rows
+from hermeq.intmat import adjugate_solve, det_bareiss
+from hermeq.intpoly import DomainError, normalize, poly_mul, scaled_power_sums
+from hermeq.jsonio import poly_to_json, table_checksum
+from hermeq.quartic import QuarticPair
+
+
+def adjugate(m):
+    """The integer adjugate adj(m), so m adj(m) = adj(m) m = det(m) I, by its
+    definition through cofactors; singular m included."""
+    n = len(m)
+    return [[(-1) ** (i + j) * det_bareiss([r[:i] + r[i + 1:] for k, r in
+                                            enumerate(m) if k != j])
+             for j in range(n)] for i in range(n)]
+
+
+def power_sums(f, m):
+    """Sums of k-th powers of the roots of f, k = 0..m, as Fractions.
+
+    These are the traces of alpha^k in Q[X]/(f) when f is squarefree.
+    """
+    qs = scaled_power_sums(f, m)
+    f0 = normalize(f)[-1]
+    return [Fraction(q, f0 ** k) for k, q in enumerate(qs)]
+
+
+def trace_and_norm(x):
+    """(Tr(x), N(x)) off the multiplication matrix of x."""
+    rows, d = product_rows(x, x.algebra.alpha())
+    return (Fraction(sum(r[i] for i, r in enumerate(rows)), d),
+            Fraction(det_bareiss(rows), d ** len(rows)))
+
+
+def unit_lattice(algebra):
+    """Z[alpha], on the power basis."""
+    n = algebra.n
+    return IdealLattice(algebra,
+                        [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def make_table(name, minpoly, betas, classes):
+    """A checksummed table fixture, as jsonio.parse_table reads it."""
+    payload = {
+        "version": 1,
+        "name": name,
+        "minpoly": poly_to_json(minpoly),
+        "betas": [[str(c) for c in b] for b in betas],
+        "classes": [sorted(c) for c in classes],
+    }
+    payload["sha256"] = table_checksum(payload)
+    return payload
+
+
+def resolvent_cubic(pair):
+    """Coefficients [e0, e1, e2, e3] of the binary cubic det(dA x - dB y) / 2.
+
+    e_k multiplies x^(3-k) y^k.  In terms of the underlying halved forms
+    this is 4 det(A x - B y); for iota(f) it comes out as the classical
+    cubic resolvent x^3 + f2 x^2 y + (f1 f3 - 4 f0 f4) x y^2
+    + (f0 f3^2 + f1^2 f4 - 4 f0 f2 f4) y^3.  Acting by (gamma, m) with
+    m = [[r, s], [t, u]] substitutes (x, y) -> (r x - t y, -s x + u y).
+    """
+    if not isinstance(pair, QuarticPair):
+        raise DomainError("expected a QuarticPair")
+    e = [[[pair.a[i][j], -pair.b[i][j]] for j in range(3)] for i in range(3)]
+    total = [0, 0, 0, 0]
+    for (i, j, k), sign in ((( 0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                            ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1)):
+        term = poly_mul(poly_mul(e[0][i], e[1][j]), e[2][k])
+        for t, c in enumerate(term):  # poly_mul strips trailing zeros
+            total[t] += sign * c
+    for t in range(4):
+        if total[t] % 2:
+            raise DomainError("pencil determinant of a doubled pair is even")
+        total[t] //= 2
+    return total
 
 
 def dual_lattice(l):

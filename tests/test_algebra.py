@@ -9,15 +9,14 @@ from hermeq import intpoly
 from hermeq.algebra import (MAX_SEARCH_BOUND, AlgElement, EtaleAlgebra,
                             IdealLattice, _evaluators, _int_nth_root,
                             colon_and_kappa_search, colon_lattice, elem_mul,
-                            endo_ring, invariant_order,
-                            is_invertible, is_order, lattice_change_of_basis,
-                            lattice_equal, lattice_mul, lattice_norm,
-                            make_lattice, norm_form, trace_and_norm,
-                            trace_form_disc, unit_lattice, zeta_lattice)
+                            invariant_order, is_order, lattice_equal,
+                            lattice_mul, lattice_norm, norm_form,
+                            trace_form_disc, zeta_lattice)
 from hermeq.forms import DecomposableForm, hermite_form
-from hermeq.intmat import hnf_lattice
+from hermeq.intmat import hnf_lattice, inverse_rational, mat_mul
 from hermeq.intpoly import DomainError
-from oracles import dual_lattice, lines
+from oracles import (dual_lattice, lines, power_sums, trace_and_norm,
+                     unit_lattice)
 
 
 def rand_sf_poly(rng, maxdeg=5, monic=False, primitive=False):
@@ -34,7 +33,7 @@ def rand_sf_poly(rng, maxdeg=5, monic=False, primitive=False):
 
 def descending_power_lattice(algebra):
     n = algebra.n
-    return make_lattice(algebra,
+    return IdealLattice(algebra,
                         [[int(j == n - 1 - i) for j in range(n)]
                          for i in range(n)])
 
@@ -173,7 +172,7 @@ def test_lattice_norm_basics():
     a = EtaleAlgebra(GAUSS)
     u = unit_lattice(a)
     assert lattice_norm(u, u) == 1
-    doubled = make_lattice(a, [[2, 0], [0, 2]])
+    doubled = IdealLattice(a, [[2, 0], [0, 2]])
     assert lattice_norm(doubled, u) == 4
 
 
@@ -232,14 +231,14 @@ def test_lattice_mul_matches_products_of_elements():
             while len(pair) < 2:
                 rows = [[rng.randint(-6, 6) for _ in range(n)]
                         for _ in range(n)]
-                if hnf_lattice(rows, transform=False)[2] == n:
+                if hnf_lattice(rows)[1] == n:
                     pair.append(IdealLattice(a, rows, rng.randint(2, 12)))
             l1, l2 = pair
             prods = [x * y for x in l1.basis_elements()
                      for y in l2.basis_elements()]
             d = lcm(*(x.den for x in prods))
-            h, _, _ = hnf_lattice([[c * (d // x.den) for c in x.num]
-                                   for x in prods], transform=False)
+            h, _ = hnf_lattice([[c * (d // x.den) for c in x.num]
+                                for x in prods])
             want = IdealLattice(a, h, d)
             got = lattice_mul(l1, l2)
             assert got.rows == want.rows, g
@@ -276,25 +275,28 @@ def test_inverse_different_relation():
 
 
 def test_lattice_equal_and_change_of_basis():
+    # the change of basis U, basis(l1) = U basis(l2), is unimodular exactly
+    # when the lattices are equal
     a = EtaleAlgebra(CUBIC)
     l = zeta_lattice(CUBIC, 0, a)
     assert lattice_equal(l, l)
-    assert lattice_change_of_basis(l, l) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    perm = make_lattice(a, [l.basis[2], l.basis[0], l.basis[1]])
+    perm = IdealLattice(a, [l.basis[2], l.basis[0], l.basis[1]])
     assert lattice_equal(l, perm)
-    assert lattice_change_of_basis(perm, l) == [
+    assert mat_mul(perm.basis, inverse_rational(l.basis)) == [
         [0, 0, 1], [1, 0, 0], [0, 1, 0]]
     u = unit_lattice(a)
-    doubled = make_lattice(a, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    doubled = IdealLattice(a, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
     assert not lattice_equal(u, doubled)
-    assert lattice_change_of_basis(u, doubled) is None
+    assert mat_mul(u.basis, inverse_rational(doubled.basis)) == [
+        [Fraction(1, 2) * (i == j) for j in range(3)] for i in range(3)]
 
 
 def test_endo_ring_monic():
+    # the multiplier ring {x : x L inside L} is the colon (L : L)
     f = [-1, -1, 0, 1]  # X^3 - X - 1, monic irreducible
     a = EtaleAlgebra(f)
     u = unit_lattice(a)
-    assert endo_ring(u) == u
+    assert colon_lattice(u, u) == u
 
 
 def test_endo_ring_of_top_ideal_is_invariant_order():
@@ -303,7 +305,8 @@ def test_endo_ring_of_top_ideal_is_invariant_order():
         f = rand_sf_poly(rng, primitive=True)
         n = intpoly.degree(f)
         a = EtaleAlgebra(f)
-        assert endo_ring(zeta_lattice(f, n - 1, a)) == zeta_lattice(f, 0, a)
+        top = zeta_lattice(f, n - 1, a)
+        assert colon_lattice(top, top) == zeta_lattice(f, 0, a)
 
 
 def test_endo_ring_imprimitive():
@@ -312,7 +315,7 @@ def test_endo_ring_imprimitive():
     f = intpoly.poly_scale(fp, 2)
     a = EtaleAlgebra(f)
     top = zeta_lattice(f, intpoly.degree(f) - 1, a)
-    assert endo_ring(top) == zeta_lattice(fp, 0, a)
+    assert colon_lattice(top, top) == zeta_lattice(fp, 0, a)
 
 
 def test_invariant_order_is_ring():
@@ -339,7 +342,7 @@ def test_trace_form_disc_scaling_law():
         rows = [[Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
                  for _ in range(3)] for _ in range(3)]
         try:
-            l = make_lattice(a, rows)
+            l = IdealLattice(a, rows)
         except DomainError:
             continue
         assert trace_form_disc(l) == lattice_norm(l, r) ** 2 * trace_form_disc(r)
@@ -401,7 +404,7 @@ def test_integer_trace_form_matches_multiplication_matrix_traces():
         n = a.n
         tr = lambda x: trace_and_norm(x)[0]
         q = intpoly.scaled_power_sums(g, 2 * n - 2)
-        ps = intpoly.power_sums(g, 2 * n - 2)
+        ps = power_sums(g, 2 * n - 2)
         for k in range(2 * n - 1):
             assert type(q[k]) is int
             assert q[k] == g[-1] ** k * ps[k] == g[-1] ** k * tr(a.alpha() ** k)
@@ -410,7 +413,7 @@ def test_integer_trace_form_matches_multiplication_matrix_traces():
             rows = [[Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
                      for _ in range(n)] for _ in range(n)]
             try:
-                lattices.append(make_lattice(a, rows))
+                lattices.append(IdealLattice(a, rows))
             except DomainError:
                 pass
         for l in lattices:
@@ -442,7 +445,7 @@ def test_norm_form_requires_order():
     a = EtaleAlgebra(GAUSS)
     u = unit_lattice(a)
     # (1/2)Z + Za is not closed under multiplication
-    not_ring = make_lattice(a, [[Fraction(1, 2), 0], [0, 1]])
+    not_ring = IdealLattice(a, [[Fraction(1, 2), 0], [0, 1]])
     with pytest.raises(DomainError):
         norm_form(u, not_ring)
 
@@ -485,7 +488,9 @@ def test_is_invertible_iff_primitive():
         a = EtaleAlgebra(f)
         r = zeta_lattice(f, 0, a)
         k = rng.randint(1, n - 1)
-        flag = is_invertible(zeta_lattice(f, k, a), r)
+        # I_f(k) is invertible over R_f when I_f(k) (R_f : I_f(k)) = R_f
+        ik = zeta_lattice(f, k, a)
+        flag = lattice_mul(ik, colon_lattice(r, ik)) == r
         if intpoly.content(f) == 1:
             assert flag
             prim += 1
@@ -498,7 +503,7 @@ def test_kappa_search_trivial():
     a = EtaleAlgebra(GAUSS)
     u = unit_lattice(a)
     assert colon_and_kappa_search(u, u, 5) == a.one()
-    tripled = make_lattice(a, [[3, 0], [0, 3]])
+    tripled = IdealLattice(a, [[3, 0], [0, 3]])
     k = colon_and_kappa_search(tripled, u, 5)
     assert k == 3 * a.one()
 
@@ -507,10 +512,10 @@ def test_kappa_search_nontrivial_generator():
     # (1+i) Z[i] has index 2; the search should recover 1+i up to sign/unit
     a = EtaleAlgebra(GAUSS)
     u = unit_lattice(a)
-    l = make_lattice(a, [[1, 1], [-1, 1]])
+    l = IdealLattice(a, [[1, 1], [-1, 1]])
     k = colon_and_kappa_search(l, u, 5)
     assert k is not None
-    scaled = make_lattice(a, [list((k * b).coords) for b in u.basis_elements()])
+    scaled = IdealLattice(a, [list((k * b).coords) for b in u.basis_elements()])
     assert scaled == l
 
 
@@ -519,7 +524,7 @@ def test_kappa_search_inconclusive():
     # would need |N(kappa)| = 3: the search must come back empty-handed
     a = EtaleAlgebra(GAUSS)
     u = unit_lattice(a)
-    tri = make_lattice(a, [[3, 0], [0, 1]])
+    tri = IdealLattice(a, [[3, 0], [0, 1]])
     assert colon_and_kappa_search(tri, u, 6) is None
 
 
@@ -583,7 +588,7 @@ def first_hit(l1, l2, bound):
                                for j in range(a.n)])
         if abs(trace_and_norm(kappa)[1]) != want:
             continue
-        if make_lattice(a, [list((kappa * b).coords)
+        if IdealLattice(a, [list((kappa * b).coords)
                             for b in l2.basis_elements()]) == l1:
             if next(c for c in kappa.coords if c) < 0:
                 kappa = -kappa

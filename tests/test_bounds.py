@@ -3,8 +3,8 @@ from decimal import Decimal
 import pytest
 import sympy
 
-from hermeq.bounds import (bound_report, coeff_bound_log, max_degree,
-                           split_counts, split_refinement)
+from hermeq.bounds import (MAX_BOUND_DEGREE, bound_report, coeff_bound_log,
+                           max_degree, split_counts, split_refinement)
 from hermeq.intpoly import DomainError
 
 
@@ -53,6 +53,18 @@ def test_bound_rejects_bad_input():
         max_degree(0)
     with pytest.raises(DomainError):
         split_counts(1)
+
+
+def test_degree_over_the_cap_is_refused():
+    n = MAX_BOUND_DEGREE
+    assert bound_report(n, 5)["split_counts"]["gl2"] == 2 ** (5 * n * n)
+    for call in (lambda: coeff_bound_log(n + 1, 5),
+                 lambda: coeff_bound_log(n + 1, 5, monic=True),
+                 lambda: split_counts(n + 1),
+                 lambda: split_refinement(n + 1),
+                 lambda: bound_report(n + 1, 5, monic=True)):
+        with pytest.raises(DomainError, match="MAX_BOUND_DEGREE"):
+            call()
 
 
 def test_max_degree_values():

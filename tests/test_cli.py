@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermeq import quartic
+from hermeq import bounds, quartic
 from hermeq.algebra import MAX_SEARCH_BOUND
+from hermeq.bounds import MAX_BOUND_DEGREE
 from hermeq.cli import main
 from hermeq.forms import MAX_FORM_DEGREE
 from hermeq.jsonio import MAX_INPUT_DIGITS
@@ -54,6 +55,16 @@ def test_check_gl2_related_pair(capsys):
     w = json.loads(out)["witness"]
     gamma = [[int(v) for v in row] for row in w["gamma"]]
     assert len(gamma) == 2 and w["sign"] in (1, -1)
+
+
+def test_check_gl2_vector_of_the_wrong_length_exits_2(capsys):
+    # over a cubic, beta and target have 2 entries; a third must not be read
+    # as a coefficient of alpha^3
+    for beta, target in (("[0,1,0]", "[0,1]"), ("[0,1]", "[1]")):
+        code, out, err = run(capsys, "check-gl2", "--poly", "[1,1,0,1]",
+                             "--beta", beta, "--target", target)
+        assert (code, out) == (2, "")
+        assert "n - 1 = 2" in err and err.count("\n") == 1
 
 
 def test_malformed_json_exits_2_with_position(capsys):
@@ -202,9 +213,20 @@ def test_long_decimal_inputs_read_in_full_up_to_the_cap(capsys):
     assert str(MAX_INPUT_DIGITS) in err and "cap" in err
 
 
-def test_internal_failure_exits_3_without_output(capsys):
-    # the bound report overflows the decimal context here; a crash must
-    # not read as the negative verdict 1
+def test_bounds_degree_over_the_cap_exits_2(capsys):
+    code, out, err = run(capsys, "bounds", "--n", str(MAX_BOUND_DEGREE),
+                         "--disc", "5")
+    assert code == 0
+    code, out, err = run(capsys, "bounds", "--n", str(MAX_BOUND_DEGREE + 1),
+                         "--disc", "5", "--monic")
+    assert (code, out) == (2, "")
+    assert "MAX_BOUND_DEGREE" in err and err.count("\n") == 1
+
+
+def test_internal_failure_exits_3_without_output(capsys, monkeypatch):
+    # with the degree cap lifted, the bound report overflows the decimal
+    # context here; a crash must not read as the negative verdict 1
+    monkeypatch.setattr(bounds, "MAX_BOUND_DEGREE", 3000)
     code, out, err = run(capsys, "bounds", "--n", "3000", "--disc", "5",
                          "--monic")
     assert code == 3

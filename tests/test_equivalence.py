@@ -1,18 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
 
 from hermeq.equivalence import (ContentMismatchError, DegenerateSystemError,
                                 DegreeDropError, NotARootError,
-                                PreconditionError, _charpoly, _power_basis,
-                                _solve_33,
-                                beta_minpoly,
-                                beta_power_matrix, gl2_act, gl2_pair_test,
-                                gl2_witness_solve, hermite_witness_check,
-                                partition_gl2, reducible_pair, z_equiv_test)
-from hermeq.algebra import EtaleAlgebra
-from hermeq.intmat import det_bareiss, identity, mat_mul
+                                PreconditionError, _BetaContext, _charpoly,
+                                _power_basis, _solve_33, gl2_act,
+                                gl2_pair_test, gl2_witness_solve,
+                                hermite_witness_check, partition_gl2,
+                                reducible_pair, z_equiv_test)
+from hermeq.algebra import EtaleAlgebra, product_rows
+from hermeq.intmat import det_bareiss, hnf_lattice, identity, mat_mul
 from hermeq.intpoly import DomainError, discriminant, normalize, poly_scale
 
 X = sympy.symbols("x")
@@ -21,6 +21,20 @@ QUARTIC = [1, 2, -4, -1, 1]  # X^4 - X^3 - 4X^2 + 2X + 1
 QUARTIC_BETAS = [(-4, 0, 1), (-2, 1, 0), (-1, 2, 0), (0, -1, 1), (1, 0, 0),
                  (1, 1, 0), (3, 1, -1), (4, 1, -1), (15, 4, -4), (21, 1, -5)]
 QUARTIC_CLASSES = [[0, 4, 7], [1, 5, 6, 9], [2, 3, 8]]
+
+
+def power_matrix(beta):
+    # the rows of beta^0, ..., beta^3 over alpha, a root of QUARTIC, for
+    # beta = (b_2, b_3, b_4); integral since QUARTIC is monic
+    alg = EtaleAlgebra(QUARTIC)
+    p, d = product_rows(alg.one(), alg.from_poly([0] + list(beta)))
+    assert d == 1
+    return p
+
+
+def minpoly(beta):
+    # the characteristic polynomial of beta, as the pair tests use it
+    return _BetaContext(EtaleAlgebra(QUARTIC), [0] + list(beta)).minpoly
 
 
 def rand_gamma(rng):
@@ -189,14 +203,14 @@ def test_witness_recovers_minimal_polynomial():
     # +-minpoly(beta_j - m) under the inverse substitution, where m is the
     # constant coordinate the pair test translates away
     for bi in QUARTIC_BETAS:
-        pinv = sympy.Matrix(beta_power_matrix(QUARTIC, [0] + list(bi))).inv()
+        pinv = sympy.Matrix(power_matrix(bi)).inv()
         for bj in QUARTIC_BETAS:
             w = gl2_pair_test(QUARTIC, bi, bj)
             if w is None:
                 continue
             m = int((sympy.Matrix([[0] + list(bj)]) * pinv)[0, 0])
-            mi = beta_minpoly(QUARTIC, bi)
-            mj_shift = _translate(beta_minpoly(QUARTIC, bj), 1, m)
+            mi = minpoly(bi)
+            mj_shift = _translate(minpoly(bj), 1, m)
             t = gl2_act(mi, gamma_inv(w.gamma))
             assert t == mj_shift or poly_scale(t, -1) == mj_shift
 
@@ -206,7 +220,8 @@ def test_beta_minpoly_against_sympy():
     for b in QUARTIC_BETAS[:4]:
         expr = b[0] * alpha + b[1] * alpha ** 2 + b[2] * alpha ** 3
         mp = sympy.minimal_polynomial(expr, X)
-        assert beta_minpoly(QUARTIC, b) == [int(v) for v in reversed(sympy.Poly(mp, X).all_coeffs())]
+        assert minpoly(b) == [int(v) for v in
+                              reversed(sympy.Poly(mp, X).all_coeffs())]
 
 
 def test_charpoly_against_sympy_on_random_integer_matrices():
@@ -227,8 +242,7 @@ def test_charpoly_against_sympy_on_random_integer_matrices():
 
 def test_beta_power_matrix_unimodular_for_generators():
     for b in QUARTIC_BETAS:
-        p = beta_power_matrix(QUARTIC, [0] + list(b))
-        assert det_bareiss(p) in (1, -1)
+        assert det_bareiss(power_matrix(b)) in (1, -1)
 
 
 def test_power_basis_test():
@@ -241,8 +255,60 @@ def test_power_basis_test():
     assert _power_basis(q, 2 * q.alpha()) is None
     for b in QUARTIC_BETAS:
         p, pinv = _power_basis(q, q.from_poly([0] + list(b)))
-        assert p == beta_power_matrix(QUARTIC, [0] + list(b))
+        assert p == power_matrix(b)
         assert mat_mul(p, pinv) == identity(4)
+
+
+def test_power_basis_on_hand_cases():
+    # det P = -1, a non-integral beta, and two singular betas
+    a = EtaleAlgebra([1, 0, 1])  # alpha^2 = -1
+    p, pinv = _power_basis(a, -a.alpha())
+    assert p == [[1, 0], [0, -1]] and det_bareiss(p) == -1
+    assert pinv == p
+    q = EtaleAlgebra(QUARTIC)
+    assert _power_basis(q, q.from_poly([0, Fraction(1, 2)])) is None
+    assert _power_basis(q, 3 * q.one()) is None
+    # alpha^2 - alpha - 2 is -2 at both roots 0 and 1 of X^3 - X, so its
+    # powers span only a plane
+    r = EtaleAlgebra([0, -1, 0, 1])
+    assert _power_basis(r, r.from_poly([-2, -1, 1])) is None
+
+
+def test_power_basis_matches_the_hnf_definition():
+    # the powers of beta are a Z-basis of Z[alpha] when the power matrix P
+    # is integral with HNF the identity; then _power_basis gives (P, P^-1)
+    rng = random.Random(77)
+    seen = {"+1": 0, "-1": 0, "fractional": 0, "other": 0}
+    for g in ([1, 0, 1], [-1, -1, 0, 1], QUARTIC, [1, 1, 2], [3, 0, -1, 2],
+              [1, -2, 0, 1, 0, 1]):
+        a = EtaleAlgebra(g)
+        n = a.n
+        for _ in range(40):
+            beta = a.from_poly([rng.randint(-2, 2) for _ in range(n)])
+            p, d = product_rows(a.one(), beta)
+            basis = _power_basis(a, beta)
+            if d == 1 and hnf_lattice(p)[0] == identity(n):
+                assert basis is not None, (g, beta)
+                assert basis[0] == p
+                assert mat_mul(p, basis[1]) == identity(n)
+                seen["+1" if det_bareiss(p) == 1 else "-1"] += 1
+            else:
+                assert basis is None, (g, beta)
+                seen["fractional" if d > 1 else "other"] += 1
+    assert all(seen.values()), seen
+
+
+def test_pair_test_and_partition_reject_a_vector_of_the_wrong_length():
+    # a vector (b_2, ..., b_n) has n - 1 entries; a longer one must not be
+    # read as a higher power of alpha, nor a shorter one fail in a product
+    f = [1, 1, 0, 1]
+    for beta, target, what in (([0, 1, 0], [0, 1], "beta has 3"),
+                               ([0, 1], [0, 1, 0], "target has 3"),
+                               ([0, 1], [1], "target has 1")):
+        with pytest.raises(DomainError, match=what + ".*n - 1 = 2"):
+            gl2_pair_test(f, beta, target)
+    with pytest.raises(DomainError, match="beta at index 1 has 2"):
+        partition_gl2(QUARTIC, [QUARTIC_BETAS[0], (1, 0)])
 
 
 def test_pair_test_rejects_non_generator():

@@ -80,13 +80,6 @@ def test_divmod_exact():
         intpoly.poly_divmod_exact([1, 0, 1], [1, 2])
 
 
-def test_divides_exactly():
-    ok, q = intpoly.divides_exactly([1, 1], [1, 2, 1])
-    assert ok and q == [1, 1]
-    ok, _ = intpoly.divides_exactly([1, 1], [2, 2, 1])
-    assert not ok
-
-
 def test_reverse():
     assert intpoly.reverse([1, 2, 3]) == [3, 2, 1]
     assert intpoly.reverse([1, 2], 3) == [0, 0, 2, 1]

@@ -7,10 +7,11 @@ from hermeq.forms import hermite_form
 from hermeq.intpoly import DomainError
 from hermeq.jsonio import (canonical_dumps, element_to_json, form_to_json,
                            fraction_to_str, int_list_from_json, lattice_to_json,
-                           load_table, make_table, matrix_from_json,
-                           matrix_to_json, pair_to_json, parse_table,
-                           poly_from_json, poly_to_json, table_checksum)
+                           load_table, matrix_to_json, pair_to_json,
+                           parse_table, poly_from_json, poly_to_json,
+                           table_checksum)
 from hermeq.quartic import iota
+from oracles import make_table
 
 
 def test_poly_round_trip():
@@ -36,11 +37,8 @@ def test_poly_rejects_garbage():
 
 def test_matrix_round_trip():
     m = [[1, -2], [3, 10 ** 40]]
-    assert matrix_from_json(matrix_to_json(m)) == m
-    with pytest.raises(DomainError):
-        matrix_from_json([[1, 2], [3]])
-    with pytest.raises(DomainError):
-        matrix_from_json([])
+    assert matrix_to_json(m) == [["1", "-2"], ["3", "1" + "0" * 40]]
+    assert [int_list_from_json(r) for r in matrix_to_json(m)] == m
 
 
 def test_fraction_strings():

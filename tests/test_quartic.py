@@ -9,8 +9,8 @@ from hermeq.intpoly import DomainError, discriminant
 from hermeq.primes import factorize, is_squarefree
 from hermeq.quartic import (A0_DOUBLED, EXAMPLE_F, EXAMPLE_G, EXAMPLE_GAMMA,
                             EXAMPLE_M, QuarticPair, act, iota,
-                            principality_evidence, resolvent_cubic,
-                            verify_example)
+                            principality_evidence, verify_example)
+from oracles import resolvent_cubic
 
 X = sympy.Symbol("x")
 Y = sympy.Symbol("y")

@@ -1,0 +1,88 @@
+import ast
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "hermeq")
+
+
+def _modules():
+    # {module: (top-level definitions by name, imported names)}, "" for the
+    # package itself; an imported name maps to (module, name) for the
+    # relative imports anywhere in the module, nested ones included
+    out = {}
+    for fn in sorted(os.listdir(SRC)):
+        if not fn.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, fn), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        defs, imports = {}, {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defs[name.id] = node
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    imports[alias.asname or alias.name] = (
+                        node.module or "", alias.name)
+        out["" if fn == "__init__.py" else fn[:-3]] = (defs, imports)
+    return out
+
+
+def _traced():
+    # perfbench/tracing.py's TRACED list, read without running the module
+    with open(os.path.join(ROOT, "perfbench", "tracing.py"),
+              encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py has no TRACED list")
+
+
+def test_every_top_level_definition_is_reachable():
+    # Walk names from the command line, the battery, the public API and
+    # the functions perfbench traces; a top-level definition in src/hermeq
+    # none of them reaches is dead code (a test oracle belongs in
+    # tests/oracles.py)
+    mods = _modules()
+
+    def resolve(module, name):
+        defs, imports = mods[module]
+        if name in defs:
+            return module, name
+        if name in imports:
+            return resolve(*imports[name])
+        return None  # a builtin, a local or a standard-library name
+
+    roots = [("cli", "main"), ("reproduce", "CHECKS"),
+             ("reproduce", "reproduce_all"), ("", "__all__")]
+    roots += [("", name.value) for name in mods[""][0]["__all__"].value.elts]
+    roots += [tuple(name.split(".")) for name in _traced()]
+    stack = []
+    for root in roots:
+        target = resolve(*root)
+        assert target is not None, root
+        stack.append(target)
+    seen = set()
+    while stack:
+        key = stack.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        module, name = key
+        for node in ast.walk(mods[module][0][name]):
+            if isinstance(node, ast.Name):
+                target = resolve(module, node.id)
+                if target is not None and target not in seen:
+                    stack.append(target)
+    dead = sorted("%s.%s" % (module or "hermeq", name)
+                  for module, (defs, _) in mods.items() for name in defs
+                  if (module, name) not in seen)
+    assert not dead, dead
