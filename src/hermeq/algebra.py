@@ -497,23 +497,22 @@ def _horner(terms, x):
 
 @lru_cache(maxsize=None)
 def _evaluators(n):
-    """(monos, head, scan, line): exact evaluators of a form of degree n in
+    """(monos, head, scan): exact evaluators of a form of degree n in
     z_0..z_{n-1}, given as its coefficient vector C on the monomials monos.
 
     With u = z_{n-2} and t = z_{n-1}, head(C, z_0, ..., z_{n-3}) gives the
     coefficients a of the form P as a polynomial in (u, t), forming each
-    monomial of z_0..z_{n-3} once and sharing it across them; and
-    line(a, u, ts) is the list of its values at (u, t) for t in ts, by
-    Horner in u and then in t.
+    monomial of z_0..z_{n-3} once and sharing it across them.
 
-    scan(a, us, s, rows, w) says whether P takes the value w or -w at some
-    (u, t) with u in us, t in -s..s when rows is true or |u| = s, and
-    t = +-s otherwise.  On a line of every t it takes the coefficients
-    c_j(u) of t^j by Horner in u, tests t = 0 once and then each pair +-t at
-    once through the even and odd parts in t: P(u, +-t) = E(t^2) +- t O(t^2).
-    On a line of t = +-s alone it evaluates P(u, +-s) = A(u) +- B(u), whose
-    coefficients in u it forms once per call.  The monomials depend only on
-    n, so the code is compiled once per degree.
+    scan(a, us, s, rows, w) is the list of the points (u, t) at which P
+    takes the value w or -w, with u in us, t in -s..s when rows is true or
+    |u| = s, and t = +-s otherwise; each point appears once.  On a line of
+    every t it takes the coefficients c_j(u) of t^j by Horner in u, tests
+    t = 0 once and then each pair +-t at once through the even and odd
+    parts in t: P(u, +-t) = E(t^2) +- t O(t^2).  On a line of t = +-s alone
+    it evaluates P(u, +-s) = A(u) +- B(u), whose coefficients in u it forms
+    once per call.  The monomials depend only on n, so the code is compiled
+    once per degree.
     """
     monos = tuple(_exponents(n, n))
     zs = ["z%d" % i for i in range(n - 2)]
@@ -542,18 +541,22 @@ def _evaluators(n):
     def code(lines, indent):
         return "".join(" " * indent + ln + "\n" for ln in lines)
 
-    found = ["if v == w or v == nw:", "    return True"]
-    both = ["v = e + o"] + found + ["v = e - o"] + found
+    def found(t):
+        return ["if v == w or v == nw:", "    hits.append((u, %s))" % t]
+
+    def both(t):
+        return ["v = e + o"] + found(t) + ["v = e - o"] + found("-" + t)
+
     # c%d is c_j(u), the coefficient of t^j, named by n - j
     coeffs = ["c%d = %s" % (n - j, _horner([nm for nm, pr in zip(names, pairs)
                                            if pr[0] == j], "u"))
               for j in range(n, -1, -1)]
     even = ["c%d" % (n - j) for j in range(n - n % 2, -1, -2)]
     odd = ["c%d" % (n - j) for j in range(n - 1 + n % 2, 0, -2)]
-    full = (coeffs + ["v = c%d" % n] + found + ["for t, t2 in squares:"]
+    full = (coeffs + ["v = c%d" % n] + found("0") + ["for t, t2 in squares:"]
             + ["    " + ln for ln in ["e = " + _horner(even, "t2"),
                                       "o = t * (%s)" % _horner(odd, "t2")]
-               + both])
+               + both("t")])
     # A%d and B%d: the coefficients of u^i in the parts of P(u, s) even and
     # odd in s, so that P(u, +-s) = A(u) +- B(u)
     spow = ["s%d = s%d * s" % (j, j - 1) for j in range(2, n + 1)]
@@ -566,25 +569,22 @@ def _evaluators(n):
             ab.append("%s%d = %s" % (x, i, " + ".join(terms)))
     ring = ["e = " + _horner(["A%d" % i for i in range(n, -1, -1)], "u"),
             "o = " + _horner(["B%d" % i for i in range(n - 1, -1, -1)], "u")
-            ] + both
+            ] + both("s")
     unpack = "    %s, = a\n" % ", ".join(names)
     src = ("def head(%s):\n" % ", ".join(["C"] + zs) + code(shared, 4)
            + "    return (%s,)\n"
            % ", ".join(" + ".join(parts[pr]) or "0" for pr in pairs)
-           + "def line(a, u, ts):\n" + unpack + code(coeffs, 4)
-           + "    return [%s for t in ts]\n"
-           % _horner(["c%d" % k for k in range(n + 1)], "t")
            + "def scan(a, us, s, rows, w):\n" + unpack
-           + "    nw = -w\n"
+           + "    nw = -w\n    hits = []\n"
            + "    squares = [(t, t * t) for t in range(1, s + 1)]\n"
            + "    if not rows:\n        s1 = s\n" + code(spow + ab, 8)
            + "    for u in us:\n"
            + "        if rows or u == s or u == -s:\n" + code(full, 12)
            + "        else:\n" + code(ring, 12)
-           + "    return False\n")
+           + "    return hits\n")
     compiled = {}
     exec(src, compiled)
-    return monos, compiled["head"], compiled["scan"], compiled["line"]
+    return monos, compiled["head"], compiled["scan"]
 
 
 # The largest search bound colon_and_kappa_search accepts.  The bound sets
@@ -609,14 +609,14 @@ def colon_and_kappa_search(l1, l2, bound=50):
     norm form is a polynomial in (u, t).  A prefix above zero has u in
     -s..s, the zero prefix u in 0..s, and a prefix below zero is skipped.
     A line u takes every t in -s..s when the prefix or u reaches +-s, and
-    t = +-s otherwise.  One compiled scan per block tests whether the
-    norm +-want occurs in it, in exact integers.  On the zero prefix the
-    scan also tests (0, ..., 0, -s), the negative of a point of the box;
-    the form is homogeneous, so its norm has the same absolute value and
-    the test stays exact.  A block that passes is walked line by line in
-    the order above, and each candidate with norm +-want is confirmed
-    exactly.  A hit is a proof; exhaustion is inconclusive (None).  A bound
-    outside 0..MAX_SEARCH_BOUND raises DomainError.
+    t = +-s otherwise.  One compiled scan per block evaluates the norm
+    form at each of its points, in exact integers, and returns the points
+    of norm +-want; they are confirmed exactly in sorted (u, t) order,
+    which is the order above.  On the zero prefix the scan also returns
+    (0, ..., 0, -s), the negative of the box point (0, ..., 0, s), when it
+    hits; that point lies outside the box and is dropped.  A hit is a
+    proof; exhaustion is inconclusive (None).  A bound outside
+    0..MAX_SEARCH_BOUND raises DomainError.
     """
     _same_algebra(l1, l2)
     if bound < 0:
@@ -641,7 +641,7 @@ def colon_and_kappa_search(l1, l2, bound=50):
     if want.denominator != 1:
         return None
     want = want.numerator
-    monos, head, scan, line = _evaluators(n)
+    monos, head, scan = _evaluators(n)
     coeffs = [det.get(e, 0) for e in monos]  # det is homogeneous
     zero = (0,) * (n - 2)
     for s in range(1, bound + 1):
@@ -654,27 +654,19 @@ def colon_and_kappa_search(l1, l2, bound=50):
             else:
                 continue
             rows = s in prefix or -s in prefix
-            h = head(coeffs, *prefix)
-            if not scan(h, us, s, rows, want):
-                continue
-            for u in us:
-                if rows or u == s or u == -s:
-                    ts = full
-                elif u or prefix != zero:
-                    ts = (-s, s)
-                else:
-                    ts = (s,)
-                for t, v in zip(ts, line(h, u, ts)):
-                    if v != want and v != -want:
-                        continue
-                    z = prefix + (u, t)
-                    kappa = AlgElement(a, [sum(zi * row[j]
-                                               for zi, row in zip(z, col.hnf))
-                                           for j in range(n)], d)
-                    if l2.scaled(kappa) == l1:
-                        # -kappa works whenever kappa does; fix the sign of
-                        # the first nonzero power coordinate for a
-                        # deterministic answer
-                        lead = next(c for c in kappa.num if c)
-                        return -kappa if lead < 0 else kappa
+            # sorted (u, t) order is the walk order within the block
+            for u, t in sorted(scan(head(coeffs, *prefix), us, s, rows,
+                                    want)):
+                if t == -s and not u and prefix == zero:
+                    continue  # the negative of the box point (0, ..., 0, s)
+                z = prefix + (u, t)
+                kappa = AlgElement(a, [sum(zi * row[j]
+                                           for zi, row in zip(z, col.hnf))
+                                       for j in range(n)], d)
+                if l2.scaled(kappa) == l1:
+                    # -kappa works whenever kappa does; fix the sign of the
+                    # first nonzero power coordinate for a deterministic
+                    # answer
+                    lead = next(c for c in kappa.num if c)
+                    return -kappa if lead < 0 else kappa
     return None

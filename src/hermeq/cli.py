@@ -21,7 +21,7 @@ from .algebra import invariant_order, norm_form, zeta_lattice
 from .bounds import bound_report
 from .equivalence import (gl2_pair_test, hermite_witness_check,
                           partition_gl2, reducible_pair, z_equiv_test)
-from .family import (CertificateError, FamilyParams, build_kit, find_params,
+from .family import (FamilyParams, build_kit, find_params,
                      generate_certified_pair, verify_kit_identities)
 from .forms import check_form_degree, hermite_form
 from .intpoly import DomainError, degree, discriminant
@@ -52,9 +52,7 @@ def _int_flag(text):
 
 def _poly_arg(text):
     obj = _parse_json(text, "polynomial")
-    if isinstance(obj, list):
-        return int_list_from_json(obj, "coefficient")
-    return poly_from_json(obj)
+    return poly_from_json({"coeffs": obj} if isinstance(obj, list) else obj)
 
 
 def _vector_arg(text, what):
@@ -352,9 +350,8 @@ def main(argv=None):
         out = canonical_dumps(payload) + "\n"
         if args.manifest:
             _write_manifest(args, argv, payload, start)
-    except (CertificateError, ValueError, OSError) as exc:
-        # bad input, a refused certificate, or a path that cannot be read
-        # or written
+    except (ValueError, OSError) as exc:
+        # bad input, or a path that cannot be read or written
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except Exception as exc:

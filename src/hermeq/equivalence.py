@@ -11,9 +11,10 @@
 # power lattice equals the power lattice of alpha yields a unimodular change
 # of basis carrying one form to the other.
 
+from math import gcd
+
 from .algebra import EtaleAlgebra, product_rows
-from .intmat import (adjugate_solve, identity, is_unimodular, left_kernel,
-                     mat_mul)
+from .intmat import adjugate_solve, identity, is_unimodular, mat_mul
 from .intpoly import (DomainError, constant_term, content, degree,
                       discriminant, leading, normalize, poly_add,
                       poly_compose, poly_divmod_exact, poly_eval, poly_mul,
@@ -107,6 +108,19 @@ def z_equiv_test(f, g):
     return None
 
 
+def _pair_kernel(r0, r1):
+    # the primitive (c, d) with c r0 + d r1 = 0, its first nonzero entry
+    # positive (the HNF-canonical sign), or None if r0, r1 are independent:
+    # a multiple of (r1[j], -r0[j]) at the first column j not all zero
+    j = next((j for j, x in enumerate(zip(r0, r1)) if any(x)), None)
+    if j is None:
+        raise DegenerateSystemError("all witness-system coefficients vanish")
+    c, d = r1[j], -r0[j]
+    g = gcd(c, d) if (c, d) > (0, 0) else -gcd(c, d)
+    c, d = c // g, d // g
+    return None if any(c * x + d * y for x, y in zip(r0, r1)) else (c, d)
+
+
 def _solve_33(f, b):
     # f = X^n + a1 X^(n-1) + ... + an monic, b = (b2, ..., bn) the
     # coordinates of beta = b2 alpha + ... + bn alpha^(n-1).
@@ -123,16 +137,15 @@ def _solve_33(f, b):
             for j in range(2, n)]
     if not rows:
         raise DomainError("witness system needs degree >= 3")
-    ker = left_kernel([[r[0] for r in rows], [r[1] for r in rows]])
-    if len(ker) == 2:
-        raise DegenerateSystemError("all witness-system coefficients vanish")
+    ker = _pair_kernel([r[0] for r in rows], [r[1] for r in rows])
+    if ker is None:
+        return []
     sols = []
-    for gen in ker:
-        for c, d in (tuple(gen), (-gen[0], -gen[1])):
-            a = d * bcoef(2) - c * bcoef(n) * acoef(n - 1)
-            bb = -c * bcoef(n) * acoef(n)
-            if a * d - bb * c in (1, -1):
-                sols.append((a, bb, c, d))
+    for c, d in (ker, (-ker[0], -ker[1])):
+        a = d * bcoef(2) - c * bcoef(n) * acoef(n - 1)
+        bb = -c * bcoef(n) * acoef(n)
+        if a * d - bb * c in (1, -1):
+            sols.append((a, bb, c, d))
     return sols
 
 

@@ -292,8 +292,9 @@ def find_params(n, search_limit=10 ** 6, monic=False):
 
 def generate_certified_pair(n, params):
     """Build (f, g) for the parameters and verify every checkable
-    certificate; returns the bundle as a plain dict.  Failures raise
-    CertificateError since they can only mean a bug or bad parameters."""
+    certificate; returns the bundle as a plain dict.  The parameters are
+    validated first (DomainError); after that every certificate holds by
+    construction, so a failure raises CertificateError: it means a bug."""
     params.validate()
     if params.n != n:
         raise DomainError("parameter degree does not match")

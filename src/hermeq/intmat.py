@@ -1,6 +1,6 @@
 # Exact dense matrix kernels: fraction-free determinants, row-style Hermite
-# normal form (hnf with its transformation matrix, hnf_lattice without),
-# integer kernels and fraction-free adjugate solves.
+# normal form (hnf with its transformation matrix, hnf_lattice without) and
+# fraction-free adjugate solves.
 #
 # Matrices are lists of row lists.  Nothing here is optimized for size; every
 # matrix in this package is tiny (dimension at most a few dozen) and the only
@@ -226,16 +226,6 @@ def _hnf_echelon(h, c):
     return pivots
 
 
-def _with_identity(m):
-    # (r, c, [m | I]): the rows of m, each extended by a row of I_r, so the
-    # identity block records the transform of every row operation
-    r, c = mat_dims(m)
-    rows = [[*row] + [0] * r for row in m]
-    for i, row in enumerate(rows):
-        row[c + i] = 1
-    return r, c, rows
-
-
 def hnf(m):
     """Row-style Hermite normal form of a full-row-rank integer matrix.
 
@@ -243,7 +233,10 @@ def hnf(m):
     positive pivots and entries above each pivot reduced into [0, pivot).
     Raises RankError if the rows are dependent.
     """
-    r, c, rows = _with_identity(m)
+    # reduce [m | I], so the identity block records the transform
+    r, c = mat_dims(m)
+    rows = [[*row] + [int(i == k) for k in range(r)]
+            for i, row in enumerate(m)]
     if len(_hnf_echelon(rows, c)) != r:
         raise RankError("matrix does not have full row rank")
     return [row[:c] for row in rows], [row[c:] for row in rows]
@@ -258,18 +251,6 @@ def hnf_lattice(m):
     rows = mat_copy(m)
     rank = len(_hnf_echelon(rows, c))
     return rows[:rank], rank
-
-
-def left_kernel(m):
-    """Primitive basis of {v : v m = 0} over the integers, HNF-canonical."""
-    r, c, rows = _with_identity(m)
-    rank = len(_hnf_echelon(rows, c))
-    if rank == r:
-        return []
-    # the transform rows of the zero rows of H span the kernel
-    kh, krank = hnf_lattice([row[c:] for row in rows[rank:]])
-    assert krank == r - rank
-    return kh
 
 
 def inverse_rational(m):

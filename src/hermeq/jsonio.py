@@ -21,6 +21,12 @@ from .intpoly import DomainError
 
 MAX_INPUT_DIGITS = 100000
 
+# The largest degree of a polynomial read from a command-line argument or
+# a table fixture.  Cost grows steeply with degree (2-core host): check-gl2
+# with a random one-digit beta took 1.8 s at degree 30, 14 s at 40 and over
+# 60 s at 50.  The checks and the battery stay at degree 7 or less.
+MAX_INPUT_DEGREE = 30
+
 
 def canonical_dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -74,7 +80,12 @@ def poly_to_json(f):
 def poly_from_json(obj):
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise DomainError('polynomial JSON must be {"coeffs": [...]}')
-    return int_list_from_json(obj["coeffs"], "coefficient")
+    f = int_list_from_json(obj["coeffs"], "coefficient")
+    if len(f) - 1 > MAX_INPUT_DEGREE:
+        raise DomainError("polynomial of degree %d is over the cap "
+                          "MAX_INPUT_DEGREE = %d"
+                          % (len(f) - 1, MAX_INPUT_DEGREE))
+    return f
 
 
 def matrix_to_json(m):

@@ -631,15 +631,17 @@ def test_kappa_search_returns_the_first_hit_of_the_box():
 
 
 def test_compiled_evaluators_match_direct_evaluation():
-    # n = 2 has an empty head; every point of the box is checked through
-    # head and line against DecomposableForm.evaluate, and scan finds each
-    # value of a block and misses one beyond them all
+    # n = 2 has an empty head.  For every value w of every block of the
+    # box, scan through head must return exactly the points of the block
+    # where |P| = |w| by DecomposableForm.evaluate, each once, plus the
+    # zero prefix's (0, ..., 0, -s) when it qualifies; and nothing for a
+    # value beyond them all
     rng = random.Random(41)
     for n in range(2, 6):
         exps = [e for e in itertools.product(range(n + 1), repeat=n)
                 if sum(e) == n]
         form = DecomposableForm(n, {e: rng.randint(-40, 40) for e in exps})
-        monos, head, scan, line = _evaluators(n)
+        monos, head, scan = _evaluators(n)
         assert sorted(monos) == exps
         coeffs = [form.terms.get(e, 0) for e in monos]
         points = 0
@@ -649,14 +651,20 @@ def test_compiled_evaluators_match_direct_evaluation():
                 lines(n, 2), key=lambda l: (max(l[1]), l[0][:-1])):
             block = list(block)
             h = head(coeffs, *prefix)
-            direct = [[form.evaluate(p + (t,)) for t in ts] for p, ts in block]
-            assert [line(h, p[-1], ts) for p, ts in block] == direct
+            covered = [(p[-1], t) for p, ts in block for t in ts]
+            points += len(covered)
+            if not any(prefix):
+                covered.append((0, -s))
+            value = {pt: abs(form.evaluate(prefix + pt)) for pt in covered}
             us = [p[-1] for p, _ in block]
             rows = s in prefix or -s in prefix
-            values = {v for vs in direct for v in vs}
-            assert all(scan(h, us, s, rows, v) for v in values)
-            assert not scan(h, us, s, rows, max(map(abs, values)) + 1)
-            points += sum(map(len, direct))
+            for w in set(value.values()):
+                for sign in (1, -1):
+                    hits = scan(h, us, s, rows, sign * w)
+                    assert len(hits) == len(set(hits))
+                    assert set(hits) == {pt for pt in covered
+                                         if value[pt] == w}, (n, prefix, w)
+            assert scan(h, us, s, rows, max(value.values()) + 1) == []
         assert points == (5 ** n - 1) // 2
 
 
@@ -670,7 +678,7 @@ def test_scan_matches_brute_force():
         exps = [e for e in itertools.product(range(n + 1), repeat=n)
                 if sum(e) == n]
         form = DecomposableForm(n, {e: rng.randint(-30, 30) for e in exps})
-        monos, head, scan, _ = _evaluators(n)
+        monos, head, scan = _evaluators(n)
         coeffs = [form.terms.get(e, 0) for e in monos]
         for s in range(1, 4):
             full = range(-s, s + 1)

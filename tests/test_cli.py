@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermeq import bounds, quartic
+from hermeq import bounds, cli, quartic
 from hermeq.algebra import MAX_SEARCH_BOUND
 from hermeq.bounds import MAX_BOUND_DEGREE
 from hermeq.cli import main
+from hermeq.family import CertificateError
 from hermeq.forms import MAX_FORM_DEGREE
-from hermeq.jsonio import MAX_INPUT_DIGITS
+from hermeq.jsonio import MAX_INPUT_DEGREE, MAX_INPUT_DIGITS
 
 T1_POLY = '[1,2,-4,-1,1]'
 
@@ -223,6 +224,23 @@ def test_bounds_degree_over_the_cap_exits_2(capsys):
     assert "MAX_BOUND_DEGREE" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("wrap", [
+    lambda f: f,
+    lambda f: {"coeffs": [str(c) for c in f]},
+])
+def test_poly_degree_over_the_input_cap_exits_2(capsys, wrap):
+    at_cap = [1] * (MAX_INPUT_DEGREE + 1)
+    code, out, _ = run(capsys, "disc", "--poly", json.dumps(wrap(at_cap)))
+    assert code == 0 and json.loads(out)["discriminant"]
+    over = [1] * (MAX_INPUT_DEGREE + 2)
+    for argv in (["disc", "--poly"], ["order", "--poly"],
+                 ["check-z", "--other", T1_POLY, "--poly"]):
+        code, out, err = run(capsys, *argv, json.dumps(wrap(over)))
+        assert (code, out) == (2, ""), argv
+        assert "MAX_INPUT_DEGREE = %d" % MAX_INPUT_DEGREE in err, argv
+        assert err.count("\n") == 1
+
+
 def test_internal_failure_exits_3_without_output(capsys, monkeypatch):
     # with the degree cap lifted, the bound report overflows the decimal
     # context here; a crash must not read as the negative verdict 1
@@ -251,6 +269,20 @@ def test_failed_generator_confirmation_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("error: internal failure: RuntimeError")
+    assert err.count("\n") == 1
+
+
+def test_failed_certificate_exits_3(capsys, monkeypatch):
+    # generate_certified_pair validates its parameters first; a certificate
+    # that then fails is a broken invariant, not bad input
+    def broken(n, params):
+        raise CertificateError("certificate failed: lattice witness")
+
+    monkeypatch.setattr(cli, "generate_certified_pair", broken)
+    code, out, err = run(capsys, "family", "gen", "--n", "4")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: internal failure: CertificateError")
     assert err.count("\n") == 1
 
 

@@ -7,7 +7,7 @@ import sympy
 from hermeq.equivalence import (ContentMismatchError, DegenerateSystemError,
                                 DegreeDropError, NotARootError,
                                 PreconditionError, _BetaContext, _charpoly,
-                                _power_basis, _solve_33, gl2_act,
+                                _pair_kernel, _power_basis, _solve_33, gl2_act,
                                 gl2_pair_test, gl2_witness_solve,
                                 hermite_witness_check, partition_gl2,
                                 reducible_pair, z_equiv_test)
@@ -196,6 +196,45 @@ def test_witness_solve_rejects_non_monic():
 def test_solve_33_degenerate_reported():
     with pytest.raises(DegenerateSystemError):
         _solve_33(QUARTIC, [0, 0, 0])
+
+
+def test_pair_kernel_matches_brute_force():
+    # the closed form against every (c, d) in a box that holds the
+    # primitive kernel vector: None exactly when no nonzero (c, d) kills
+    # both rows, and otherwise the primitive one with a positive first
+    # nonzero entry, of which every kernel vector is a multiple.  Hand
+    # cases first: a rank-2 pair, a rank-1 pair and its multiple
+    assert _pair_kernel([1, 0], [0, 1]) is None
+    assert _pair_kernel([1], [-1]) == (1, 1)
+    assert _pair_kernel([2], [-2]) == (1, 1)
+    assert _pair_kernel([0, 0, 3], [0, 0, 6]) == (2, -1)
+    rng = random.Random(71)
+    box = range(-5, 6)
+    for trial in range(600):
+        k = rng.randint(1, 5)
+        r0 = [rng.randint(-5, 5) for _ in range(k)]
+        if trial % 3 == 0:  # rank at most 1
+            p, q = rng.randint(-2, 2), rng.randint(-2, 2)
+            r0, r1 = [p * x for x in r0], [q * x for x in r0]
+        else:
+            r1 = [rng.randint(-5, 5) for _ in range(k)]
+        if trial % 50 == 0:
+            r1 = [0] * k
+        if not any(r0) and not any(r1):
+            with pytest.raises(DegenerateSystemError):
+                _pair_kernel(r0, r1)
+            continue
+        kills = [(c, d) for c in box for d in box if (c, d) != (0, 0)
+                 and all(c * x + d * y == 0 for x, y in zip(r0, r1))]
+        ker = _pair_kernel(r0, r1)
+        if not kills:
+            assert ker is None, (r0, r1)
+            continue
+        assert ker in kills, (r0, r1)
+        c, d = ker
+        assert c > 0 or (c == 0 and d > 0)
+        for x, y in kills:
+            assert x * d == y * c and (x % c if c else y % d) == 0, (r0, r1)
 
 
 def test_witness_recovers_minimal_polynomial():

@@ -5,11 +5,11 @@ import pytest
 from hermeq.algebra import EtaleAlgebra, zeta_lattice
 from hermeq.forms import hermite_form
 from hermeq.intpoly import DomainError
-from hermeq.jsonio import (canonical_dumps, element_to_json, form_to_json,
-                           fraction_to_str, int_list_from_json, lattice_to_json,
-                           load_table, matrix_to_json, pair_to_json,
-                           parse_table, poly_from_json, poly_to_json,
-                           table_checksum)
+from hermeq.jsonio import (MAX_INPUT_DEGREE, canonical_dumps,
+                           element_to_json, form_to_json, fraction_to_str,
+                           int_list_from_json, lattice_to_json, load_table,
+                           matrix_to_json, pair_to_json, parse_table,
+                           poly_from_json, poly_to_json, table_checksum)
 from hermeq.quartic import iota
 from oracles import make_table
 
@@ -82,6 +82,15 @@ def test_table_checksum_catches_edits():
     missing = {k: v for k, v in payload.items() if k != "sha256"}
     with pytest.raises(DomainError):
         parse_table(missing)
+
+
+def test_fixture_minpoly_over_the_degree_cap_is_refused():
+    at_cap = [1] + [0] * (MAX_INPUT_DEGREE - 1) + [1]
+    table = parse_table(make_table("demo", at_cap, [(1,)], [[1]]))
+    assert table["minpoly"] == at_cap
+    over = [1] + [0] * MAX_INPUT_DEGREE + [1]
+    with pytest.raises(DomainError, match="MAX_INPUT_DEGREE"):
+        parse_table(make_table("demo", over, [(1,)], [[1]]))
 
 
 def test_packaged_tables_load_and_verify():

@@ -86,3 +86,32 @@ def test_every_top_level_definition_is_reachable():
                   for module, (defs, _) in mods.items() for name in defs
                   if (module, name) not in seen)
     assert not dead, dead
+
+
+def test_no_module_has_an_unused_import():
+    # every name an import binds in src/hermeq, at top level or inside a
+    # function, must be read somewhere in that module; the package's own
+    # imports are its public API and count as read through __all__
+    unused = []
+    for fn in sorted(os.listdir(SRC)):
+        if not fn.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, fn), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        bound, read = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound[name] = node.lineno
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)):
+                read.update(ast.literal_eval(node.value))
+        unused += ["%s:%d %s" % (fn, line, name)
+                   for name, line in sorted(bound.items())
+                   if name not in read]
+    assert not unused, unused
