@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermeq import intmat
+from hermeq.equivalence import DegenerateSystemError, _pair_kernel
 from oracles import adjugate
 
 
@@ -194,6 +196,46 @@ def test_hnf_without_transform_matches_transform_path():
             with pytest.raises(intmat.RankError):
                 intmat.hnf(m)
     assert deficient
+
+
+# The program takes left kernels of 2-row integer matrices only, by the
+# closed form equivalence._pair_kernel: for m = [r0, r1] it returns the
+# primitive (c, d) with c r0 + d r1 = 0 and first nonzero entry positive
+# (the HNF-canonical sign), or None when m has full row rank.
+
+def test_left_kernel_identity_empty():
+    assert _pair_kernel(*intmat.identity(2)) is None
+
+
+def test_left_kernel_hand_case():
+    assert _pair_kernel([1], [-1]) == (1, 1)
+
+
+def test_left_kernel_random():
+    import sympy
+
+    rng = random.Random(3)
+    for trial in range(40):
+        c = rng.randint(1, 4)
+        m = rand_mat(rng, 2, c, -5, 5)
+        if trial % 3 == 0:  # rank at most 1
+            m[1] = [rng.randint(-2, 2) * x for x in m[0]]
+        if not any(m[0]) and not any(m[1]):
+            with pytest.raises(DegenerateSystemError):
+                _pair_kernel(*m)
+            continue
+        ker = _pair_kernel(*m)
+        # rank-nullity against a rational rank oracle
+        rank = sympy.Matrix(m).rank()
+        assert (ker is None) == (rank == 2)
+        if ker is not None:
+            assert intmat.mat_mul([list(ker)], m) == [[0] * c]
+            assert math.gcd(*ker) == 1
+
+
+def test_left_kernel_primitive():
+    # kernel of [[2],[−2]] is spanned by (1,1), not (2,2)
+    assert _pair_kernel([2], [-2]) == (1, 1)
 
 
 def test_inverse_rational():
