@@ -9,7 +9,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm
 
-from .forms import DecomposableForm, check_form_degree, laplace_minors
+from .forms import DecomposableForm, check_form_size, laplace_minors
 from .intmat import (adjugate_solve, common_denominator, det_bareiss,
                      hnf_lattice, identity, mat_mul, transpose)
 from .intpoly import (DomainError, degree, discriminant, normalize,
@@ -444,7 +444,7 @@ def norm_form(l, o):
     """
     _same_algebra(l, o)
     n = l.algebra.n
-    check_form_degree(n)
+    check_form_size(n)
     if not is_order(o):
         raise DomainError("second argument must be an order")
     det, dd = _integer_norm_form(l.algebra, l.rows)

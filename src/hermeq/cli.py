@@ -23,7 +23,7 @@ from .equivalence import (gl2_pair_test, hermite_witness_check,
                           partition_gl2, reducible_pair, z_equiv_test)
 from .family import (FamilyParams, build_kit, find_params,
                      generate_certified_pair, verify_kit_identities)
-from .forms import check_form_degree, hermite_form
+from .forms import check_form_size, hermite_form
 from .intpoly import DomainError, degree, discriminant
 from .jsonio import (canonical_dumps, element_to_json, form_to_json,
                      int_list_from_json, int_to_str, lattice_to_json,
@@ -74,7 +74,7 @@ def _cmd_order(args):
 
 def _cmd_normform(args):
     f = _poly_arg(args.poly)
-    check_form_degree(degree(f))  # before building the lattices
+    check_form_size(degree(f), f)  # before building the lattices
     k = args.k if args.k is not None else degree(f) - 1
     lat = zeta_lattice(f, k)
     return 0, {"k": k, "form": form_to_json(norm_form(lat,

@@ -6,19 +6,19 @@
 #
 # Z-equivalence is decided outright.  GL2 witnesses for a fixed shared-root
 # embedding come from a small linear system; the partition routine applies it
-# pairwise to a list of root expressions.  Hermite witnesses are certified
-# through the invariant-lattice criterion: a root beta of g in K_f whose
-# power lattice equals the power lattice of alpha yields a unimodular change
-# of basis carrying one form to the other.
+# once to each pair of a list of root expressions.  Hermite witnesses are
+# certified through the invariant-lattice criterion: a root beta of g in K_f
+# whose power lattice equals the power lattice of alpha yields a unimodular
+# change of basis carrying one form to the other.
 
 from math import gcd
 
 from .algebra import EtaleAlgebra, product_rows
-from .intmat import adjugate_solve, identity, is_unimodular, mat_mul
-from .intpoly import (DomainError, constant_term, content, degree,
-                      discriminant, leading, normalize, poly_add,
-                      poly_compose, poly_divmod_exact, poly_eval, poly_mul,
-                      poly_pow, poly_scale, poly_shift, reverse)
+from .intmat import adjugate_solve, det_mod, identity, is_unimodular, mat_mul
+from .intpoly import (DomainError, constant_term, content, degree, leading,
+                      normalize, poly_add, poly_compose, poly_divmod_exact,
+                      poly_eval, poly_mul, poly_pow, poly_scale, poly_shift,
+                      reverse)
 
 
 class DegreeDropError(DomainError):
@@ -130,31 +130,20 @@ def _solve_33(f, b):
     #   alpha^j (2<=j<=n-1):  c (b_j - b_n a_{n-j}) + d b_{j+1} = 0
     #   alpha^1:              a  = d b_2 - c b_n a_{n-1}
     #   constant:             b' = -c b_n a_n
+    # with a_{n-j} = f[j], b_j = b[j-2].  Both signs of the primitive kernel
+    # vector give the same ad - b'c
     n = degree(f)
-    acoef = lambda j: f[n - j]  # descending coefficient a_j
-    bcoef = lambda j: b[j - 2]
-    rows = [[bcoef(j) - bcoef(n) * acoef(n - j), bcoef(j + 1)]
-            for j in range(2, n)]
-    if not rows:
+    if n < 3:
         raise DomainError("witness system needs degree >= 3")
-    ker = _pair_kernel([r[0] for r in rows], [r[1] for r in rows])
+    bn = b[-1]
+    ker = _pair_kernel([x - bn * a for x, a in zip(b, f[2:n])], b[1:])
     if ker is None:
         return []
-    sols = []
-    for c, d in (ker, (-ker[0], -ker[1])):
-        a = d * bcoef(2) - c * bcoef(n) * acoef(n - 1)
-        bb = -c * bcoef(n) * acoef(n)
-        if a * d - bb * c in (1, -1):
-            sols.append((a, bb, c, d))
-    return sols
-
-
-def _moebius_holds(f, b, gamma):
-    # (c Y + d) beta(Y) == a Y + b' modulo f, with beta(Y) = sum b_j Y^(j-1)
-    (a, bb), (c, d) = gamma
-    lhs = poly_mul([d, c], [0] + list(b))
-    _, rem = poly_divmod_exact(lhs, f)
-    return normalize(rem) == normalize([bb, a])
+    c, d = ker
+    a, bb = d * b[0] - c * bn * f[1], -c * bn * f[0]
+    if a * d - bb * c not in (1, -1):
+        return []
+    return [(a, bb, c, d), (-a, -bb, -c, -d)]
 
 
 def _witness_sign(f, gamma):
@@ -164,6 +153,16 @@ def _witness_sign(f, gamma):
     except DegreeDropError:
         return 1
     return 1 if t[-1] > 0 else -1
+
+
+def _gl2_gamma(f, b):
+    # the first gamma of _solve_33 with (c Y + d) beta(Y) == a Y + b' modulo
+    # f, beta(Y) = sum b_j Y^(j-1), or None
+    for a, bb, c, d in _solve_33(f, b):
+        _, rem = poly_divmod_exact(poly_mul([d, c], [0] + list(b)), f)
+        if normalize(rem) == normalize([bb, a]):
+            return [[a, bb], [c, d]]
+    return None
 
 
 def gl2_witness_solve(f, beta):
@@ -185,72 +184,50 @@ def gl2_witness_solve(f, beta):
         raise DomainError("beta vector has wrong length")
     if not any(b):
         raise DomainError("beta must be nonzero")
-    for a, bb, c, d in _solve_33(f, b):
-        gamma = [[a, bb], [c, d]]
-        if _moebius_holds(f, b, gamma):
-            return Gl2Witness(gamma, _witness_sign(f, gamma))
-    return None
-
-
-def _charpoly(m):
-    # det(X I - m) of an integer matrix by Faddeev-LeVerrier: with M_1 = I,
-    # c_{n-k} = -tr(m M_k) / k and M_{k+1} = m M_k + c_{n-k} I.  The c_j are
-    # integers and so is every M_k, so each division is exact.
-    n = len(m)
-    out = [0] * n + [1]
-    mk = identity(n)
-    for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
-        c, r = divmod(-sum(mk[i][i] for i in range(n)), k)
-        if r:
-            raise AssertionError("characteristic polynomial not integral")
-        out[n - k] = c
-        for i in range(n):
-            mk[i][i] += c
-    return out
+    gamma = _gl2_gamma(f, b)
+    return gamma and Gl2Witness(gamma, _witness_sign(f, gamma))
 
 
 def _power_basis(alg, beta):
     # (P, P^-1) if the powers of beta are a Z-basis of the lattice the
     # powers of alpha span, else None: the power matrix P is integral and
     # its HNF is the identity, that is det(P) = +-1, and then
-    # P^-1 = adj(P) / det(P) = det(P) adj(P)
+    # P^-1 = adj(P) / det(P) = det(P) adj(P).  det(P) mod the prime 2^31 - 1
+    # refuses most other beta before the adjugate, of growing entries
     p, d = product_rows(alg.one(), beta)
+    if d != 1 or det_mod(p, 2 ** 31 - 1) not in (1, 2 ** 31 - 2):
+        return None
     det, adj = adjugate_solve(p, identity(alg.n))
-    if d != 1 or det not in (1, -1):
+    if det not in (1, -1):
         return None
     return p, [[det * x for x in r] for r in adj]
 
 
 class _BetaContext:
-    # per-vector data reused across all pair tests in a partition run
+    # per-vector data reused across all pair tests in a partition run: the
+    # minimal polynomial X^n - sum c_k X^k, c = (beta^n row) P^-1, and P^-1
+    # less its first row and column, taking (b_2, ..., b_n) to coordinates
+    # in the powers of beta past the constant one
     __slots__ = ("pinv", "minpoly")
 
-    def __init__(self, alg, beta_full):
-        beta = alg.from_poly(beta_full)
+    def __init__(self, alg, b):
+        beta = alg.element([0] + b)
         basis = _power_basis(alg, beta)
         if basis is None:
             raise PreconditionError("powers of beta do not span Z[alpha]")
-        self.pinv = basis[1]
-        # beta is integral (row 1 of P) and f monic: the matrix is integral
-        self.minpoly = _charpoly(product_rows(beta, alg.alpha())[0])
+        p, pinv = basis
+        # beta is integral (row 1 of P) and f monic: beta^n has no denominator
+        top = (alg.element(p[-1]) * beta).num
+        self.minpoly = [-c for c in mat_mul([list(top)], pinv)[0]] + [1]
+        self.pinv = [r[1:] for r in pinv[1:]]
 
 
-def _full_coords(n, beta, what):
-    # (0, b_2, ..., b_n): a vector (b_2, ..., b_n) against the root of a
-    # degree-n polynomial as all n power coordinates
+def _vector(n, beta, what):
+    # a vector (b_2, ..., b_n) against the root of a degree-n polynomial
     if len(beta) != n - 1:
         raise DomainError("%s has %d entries; degree %d needs n - 1 = %d"
                           % (what, len(beta), n, n - 1))
-    return [0] + list(beta)
-
-
-def _pair_witness(ctx_i, beta_j_full):
-    w = mat_mul([beta_j_full], ctx_i.pinv)[0]
-    w[0] = 0  # translate the constant coordinate away
-    if not any(w):
-        return None
-    return gl2_witness_solve(ctx_i.minpoly, w[1:])
+    return list(beta)
 
 
 def gl2_pair_test(f, beta_i, beta_j):
@@ -259,37 +236,40 @@ def gl2_pair_test(f, beta_i, beta_j):
     Both vectors are (b_2, ..., b_n) against the root alpha of f; any other
     length is a DomainError.  beta_j is rewritten in the power basis of
     beta_i (which must again be a Z-basis of Z[alpha]; anything else is a
-    PreconditionError) and the witness system is solved against the
-    minimal polynomial of beta_i.
+    PreconditionError), less its constant coordinate, and the witness
+    system is solved against the minimal polynomial of beta_i.
     """
     f = normalize(f)
     if leading(f) != 1:
         raise DomainError("pair test needs a monic polynomial")
     n = degree(f)
-    beta_i = _full_coords(n, beta_i, "beta")
-    beta_j = _full_coords(n, beta_j, "target")
-    return _pair_witness(_BetaContext(EtaleAlgebra(f), beta_i), beta_j)
+    ctx = _BetaContext(EtaleAlgebra(f), _vector(n, beta_i, "beta"))
+    w = mat_mul([_vector(n, beta_j, "target")], ctx.pinv)[0]
+    return gl2_witness_solve(ctx.minpoly, w) if any(w) else None
 
 
 def partition_gl2(f, betas):
     """Classes of indices under pairwise GL2(Z)-relatedness of the betas,
     each (b_2, ..., b_n) as in gl2_pair_test.
 
-    The pair test runs in both directions (the constant-coordinate
-    normalization could in principle see the two sides differently) and the
-    result is closed transitively; classes come back sorted, so the output
-    does not depend on the input order beyond the indexing itself.
+    Each unordered pair is tested once, from the lower index i: beta_j in
+    the powers of beta_i (one product for all j > i), less its constant
+    coordinate w_0, against the minimal polynomial of beta_i.  The test is
+    complete: beta_j - w_0 = (a beta_i + b)/(c beta_i + d), ad - bc = +-1,
+    puts (c, d) in the kernel of rows that all vanish only if beta_j = w_0,
+    not a generator; so (c, d) is t times the primitive kernel vector,
+    ad - bc is t^2 times a fixed integer and t = +-1, the two candidates.
+    The relation is symmetric (gamma^-1 is a gamma), so the reverse test
+    says the same.  Classes are closed transitively and come back sorted.
     """
     f = normalize(f)
     if leading(f) != 1:
         raise DomainError("partition needs a monic polynomial")
     n = degree(f)
-    full = [_full_coords(n, b, "beta at index %d" % i)
-            for i, b in enumerate(betas)]
+    vecs = [_vector(n, b, "beta at index %d" % i) for i, b in enumerate(betas)]
     alg = EtaleAlgebra(f)
-    ctxs = [_BetaContext(alg, b) for b in full]
-    m = len(betas)
-    parent = list(range(m))
+    ctxs = [_BetaContext(alg, b) for b in vecs]
+    parent = list(range(len(vecs)))
 
     def find(x):
         while parent[x] != x:
@@ -297,20 +277,14 @@ def partition_gl2(f, betas):
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if find(i) == find(j):
-                continue
-            if _pair_witness(ctxs[i], full[j]) is not None or \
-               _pair_witness(ctxs[j], full[i]) is not None:
-                union(i, j)
+    for i in range(len(vecs) - 1):
+        minpoly = ctxs[i].minpoly
+        for j, w in enumerate(mat_mul(vecs[i + 1:], ctxs[i].pinv), i + 1):
+            ri, rj = find(i), find(j)
+            if ri != rj and _gl2_gamma(minpoly, w) is not None:
+                parent[max(ri, rj)] = min(ri, rj)
     classes = {}
-    for i in range(m):
+    for i in range(len(vecs)):
         classes.setdefault(find(i), []).append(i)
     return sorted(sorted(c) for c in classes.values())
 
@@ -329,13 +303,11 @@ def hermite_witness_check(f, g, expr):
     n = degree(f)
     if n < 2 or degree(g) != n:
         raise DomainError("need equal degrees >= 2")
-    if discriminant(f) == 0:
-        raise DomainError("discriminant must be nonzero")
     if content(f) != content(g):
         raise ContentMismatchError("contents differ")
     if abs(f[-1]) != abs(g[-1]):
         raise ContentMismatchError("leading coefficients differ in absolute value")
-    alg = EtaleAlgebra(f)
+    alg = EtaleAlgebra(f)  # refuses a zero discriminant
     beta = alg.from_poly(expr)
     if poly_eval(g, beta) != 0:
         raise NotARootError("expression is not a root of the target")

@@ -9,6 +9,8 @@
 # substitutions, and produces the n x n transfer matrix t(gamma) through
 # which a 2x2 substitution on f acts on [f].
 
+from math import comb
+
 from .intmat import det_bareiss, is_unimodular, mat_dims
 from .intpoly import (DomainError, degree, discriminant, normalize,
                       poly_mul, poly_pow, scaled_power_sums)
@@ -63,12 +65,22 @@ class DecomposableForm:
 # 10 norm_form takes about 40 s.  reproduce-all stays at degree 5 and the
 # tests at degree 8.
 MAX_FORM_DEGREE = 9
+# The form of f has C(2n-1, n) terms of about n - 1 times the size of f's
+# coefficients; hermite_form and `hermeq normform` refuse an f with
+# C(2n-1, n) * n * (bit length of its largest coefficient) over this cap.
+MAX_FORM_BITS = 10 ** 6
 
 
-def check_form_degree(n):
+def check_form_size(n, f=()):
     if n > MAX_FORM_DEGREE:
         raise DomainError("degree %d is over the cap MAX_FORM_DEGREE = %d"
                           % (n, MAX_FORM_DEGREE))
+    bits = max((abs(c) for c in f), default=0).bit_length()
+    size = comb(2 * n - 1, n) * n * bits if n > 0 else 0
+    if size > MAX_FORM_BITS:
+        raise DomainError("form size C(2n-1, n) * n * bits = %d at degree %d "
+                          "is over the cap MAX_FORM_BITS = %d"
+                          % (size, n, MAX_FORM_BITS))
 
 
 def unpack_exponents(key, nvars, base):
@@ -153,7 +165,7 @@ def hermite_form(f):
     n = degree(f)
     if n < 2:
         raise DomainError("form needs degree >= 2")
-    check_form_degree(n)
+    check_form_size(n, f)
     size = 2 * n - 1
     fd = list(reversed(f))  # leading coefficient first
     base_sign = n * (n - 1) // 2  # sum of the expanded row indices

@@ -126,6 +126,22 @@ def common_denominator(m):
     return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
 
 
+def det_mod(m, q):
+    """det(m) mod the prime q, in 0 .. q-1, by elimination over Z/q."""
+    a = [[x % q for x in r] for r in m]
+    det = 1
+    while a:  # eliminate the first column and drop it with the pivot row
+        i = next((i for i, r in enumerate(a) if r[0]), None)
+        if i is None:
+            return 0
+        pivot = a.pop(i)
+        det = det * (-1) ** i * pivot[0] % q
+        inv = pow(pivot[0], -1, q)
+        a = [[(u - x * v) % q for u, v in zip(r[1:], pivot[1:])]
+             for r in a for x in [r[0] * inv]]
+    return det
+
+
 def adjugate_solve(m, b):
     """(det(m), adj(m) b) for a square integer matrix m and an integer
     matrix b with as many rows, or (0, None) when m is singular.

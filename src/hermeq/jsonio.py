@@ -126,10 +126,12 @@ def pair_to_json(pair):
 # the numbers are caught, while whitespace and key order stay free.
 
 def table_checksum(payload):
-    import hashlib  # only fixtures need it, and it maps libcrypto
-
+    try:  # CPython's own SHA-256: hashlib maps libcrypto, 3.5 MB resident
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
     body = {k: payload[k] for k in payload if k != "sha256"}
-    return hashlib.sha256(canonical_dumps(body).encode()).hexdigest()
+    return sha256(canonical_dumps(body).encode()).hexdigest()
 
 
 def parse_table(payload):

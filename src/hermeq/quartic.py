@@ -107,9 +107,7 @@ def principality_evidence(f, bound=16):
     f = normalize(f)
     if degree(f) != 4:
         raise DomainError("evidence search is defined for quartics only")
-    if discriminant(f) == 0:
-        raise DomainError("degenerate polynomial")
-    alg = EtaleAlgebra(f)
+    alg = EtaleAlgebra(f)  # refuses a zero discriminant
     order = zeta_lattice(f, 0, alg)
     ideal = zeta_lattice(f, 1, alg)
     kappa = colon_and_kappa_search(ideal, order, bound)

@@ -10,14 +10,18 @@ power_sums() and trace_and_norm() are Fraction views of the traces and
 norms hermeq computes in integers; unit_lattice() is Z[alpha];
 make_table() writes table fixtures; resolvent_cubic() is the pencil
 determinant of a quartic pair, which quartic.act moves by a variable
-substitution.
+substitution.  charpoly() is the Faddeev-LeVerrier characteristic
+polynomial the minimal polynomials of the GL2 pair tests are checked
+against, and partition_two_way() the partition by pair tests in both
+directions.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from hermeq.algebra import IdealLattice, _gram, product_rows
-from hermeq.intmat import adjugate_solve, det_bareiss
+from hermeq.algebra import EtaleAlgebra, IdealLattice, _gram, product_rows
+from hermeq.equivalence import gl2_witness_solve
+from hermeq.intmat import adjugate_solve, det_bareiss, identity, mat_mul
 from hermeq.intpoly import DomainError, normalize, poly_mul, scaled_power_sums
 from hermeq.jsonio import poly_to_json, table_checksum
 from hermeq.quartic import QuarticPair
@@ -30,6 +34,60 @@ def adjugate(m):
     return [[(-1) ** (i + j) * det_bareiss([r[:i] + r[i + 1:] for k, r in
                                             enumerate(m) if k != j])
              for j in range(n)] for i in range(n)]
+
+
+def charpoly(m):
+    """det(X I - m) of an integer matrix by Faddeev-LeVerrier: with
+    M_1 = I, c_{n-k} = -tr(m M_k) / k and M_{k+1} = m M_k + c_{n-k} I.  The
+    c_j are integers and so is every M_k, so each division is exact."""
+    n = len(m)
+    out = [0] * n + [1]
+    mk = identity(n)
+    for k in range(1, n + 1):
+        mk = mat_mul(m, mk)
+        c, r = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if r:
+            raise AssertionError("characteristic polynomial not integral")
+        out[n - k] = c
+        for i in range(n):
+            mk[i][i] += c
+    return out
+
+
+def partition_two_way(f, betas):
+    """The classes of the betas, each (b_2, ..., b_n), under GL2(Z)-
+    relatedness by a pair test in both directions of every pair: beta_j
+    written in the powers of beta_i through the cofactor inverse of the
+    power matrix, its constant coordinate dropped, and the witness system
+    solved against charpoly(beta_i); the hits closed by union-find."""
+    alg = EtaleAlgebra(f)
+    ctxs = []
+    for b in betas:
+        beta = alg.element([0] + list(b))
+        p, d = product_rows(alg.one(), beta)
+        det = det_bareiss(p)
+        if d != 1 or det not in (1, -1):
+            raise DomainError("powers of beta do not span Z[alpha]")
+        ctxs.append(([[det * x for x in r] for r in adjugate(p)],
+                     charpoly(product_rows(beta, alg.alpha())[0])))
+    parent = list(range(len(betas)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, (pinv, minpoly) in enumerate(ctxs):
+        for j, b in enumerate(betas):
+            w = mat_mul([[0] + list(b)], pinv)[0][1:]
+            if i != j and any(w) and \
+                    gl2_witness_solve(minpoly, w) is not None:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    classes = {}
+    for i in range(len(betas)):
+        classes.setdefault(find(i), []).append(i)
+    return sorted(sorted(c) for c in classes.values())
 
 
 def power_sums(f, m):

@@ -15,7 +15,8 @@ from hermeq.algebra import MAX_SEARCH_BOUND
 from hermeq.bounds import MAX_BOUND_DEGREE
 from hermeq.cli import main
 from hermeq.family import CertificateError
-from hermeq.forms import MAX_FORM_DEGREE
+from hermeq.forms import MAX_FORM_BITS, MAX_FORM_DEGREE
+from hermeq.intpoly import discriminant
 from hermeq.jsonio import MAX_INPUT_DEGREE, MAX_INPUT_DIGITS
 
 T1_POLY = '[1,2,-4,-1,1]'
@@ -308,6 +309,28 @@ def test_negative_search_bound_exits_2(capsys):
     assert "bound" in err
 
 
+def test_degenerate_quartic_exits_2_after_one_discriminant(capsys,
+                                                           monkeypatch):
+    # principality_evidence leaves the squarefree test to EtaleAlgebra:
+    # one discriminant per search, and a degenerate quartic is bad input
+    from hermeq import algebra
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return discriminant(f)
+
+    monkeypatch.setattr(algebra, "discriminant", counting)
+    monkeypatch.setattr(quartic, "discriminant", counting)
+    code, _, _ = run(capsys, "quartic", "principal-evidence",
+                     "--poly", "[255,13,-62,-1,4]", "--bound", "1")
+    assert code in (0, 1) and len(calls) == 1
+    code, out, err = run(capsys, "quartic", "principal-evidence",
+                         "--poly", "[1,0,2,0,1]")  # (X^2 + 1)^2
+    assert (code, out) == (2, "")
+    assert "squarefree" in err and err.count("\n") == 1
+
+
 def test_search_bound_over_the_cap_exits_2(capsys):
     code, out, err = run(capsys, "quartic", "principal-evidence",
                          "--poly", "[255,13,-62,-1,4]",
@@ -356,6 +379,27 @@ def test_form_stdout_is_pinned(capsys, command, poly, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, code, digest", [
+    (["partition", "--table", "table1"], 0,
+     "67603985a0657955be87e854f26cda94fddff3519a243b3dace11ee547c1239c"),
+    (["partition", "--table", "table2"], 0,
+     "70cde455ee99d43f35d2336f80295f308296b60d32f3e69bde4c73f0b97f6f36"),
+    (["partition", "--table", "table3"], 0,
+     "6df788a90b984a951cb52de80b235a53c7b30aad0dcd31392ad30299f209e50d"),
+    # gamma [[-122, 81], [3, -2]], sign 1
+    (["check-gl2", "--poly", T1_POLY, "--beta", "[-2,1,0]",
+      "--target", "[1,1,0]"], 0,
+     "966cf345389bec3efca06364071c597b5f88b6d801d276ffa334669e04e47633"),
+    (["check-gl2", "--poly", T1_POLY, "--beta", "[-2,1,0]",
+      "--target", "[1,0,0]"], 1,
+     "9ec1eb6b78f63beb7379065ced80295ffb1ff556790a351379c0225c09b8c999"),
+])
+def test_partition_and_check_gl2_stdout_is_pinned(capsys, argv, code, digest):
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
+
+
 @pytest.mark.parametrize("command", ["form", "normform"])
 def test_form_degree_over_the_cap_exits_2(capsys, command):
     poly = json.dumps([1] + [0] * MAX_FORM_DEGREE + [1])
@@ -363,6 +407,21 @@ def test_form_degree_over_the_cap_exits_2(capsys, command):
     assert code == 2
     assert out == ""
     assert "MAX_FORM_DEGREE = %d" % MAX_FORM_DEGREE in err
+
+
+@pytest.mark.parametrize("command", ["form", "normform"])
+def test_form_coefficients_over_the_size_cap_exit_2(capsys, command):
+    # degree 5: C(9, 5) * 5 = 630 per bit of the largest coefficient; at the
+    # cap the form is computed, one bit over it is refused before any
+    # expansion, with a message that names the cap
+    bits = MAX_FORM_BITS // 630
+    for lead, code in ((1 << (bits - 1), 0), (1 << bits, 2)):
+        poly = json.dumps([str(lead - 1), "3", "0", "-1", "0", str(lead)])
+        got, out, err = run(capsys, command, "--poly", poly)
+        assert got == code, err
+        if code == 2:
+            assert out == "" and err.count("\n") == 1
+            assert "MAX_FORM_BITS = %d" % MAX_FORM_BITS in err
 
 
 def test_outputs_are_byte_identical(capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,14 +7,18 @@ import sympy
 
 from hermeq.equivalence import (ContentMismatchError, DegenerateSystemError,
                                 DegreeDropError, NotARootError,
-                                PreconditionError, _BetaContext, _charpoly,
+                                PreconditionError, _BetaContext,
                                 _pair_kernel, _power_basis, _solve_33, gl2_act,
                                 gl2_pair_test, gl2_witness_solve,
                                 hermite_witness_check, partition_gl2,
                                 reducible_pair, z_equiv_test)
 from hermeq.algebra import EtaleAlgebra, product_rows
-from hermeq.intmat import det_bareiss, hnf_lattice, identity, mat_mul
+from hermeq.cli import main
+from hermeq.intmat import (adjugate_solve, det_bareiss, hnf_lattice, identity,
+                           mat_mul)
 from hermeq.intpoly import DomainError, discriminant, normalize, poly_scale
+from hermeq.jsonio import load_table
+from oracles import adjugate, charpoly, partition_two_way
 
 X = sympy.symbols("x")
 
@@ -34,7 +39,7 @@ def power_matrix(beta):
 
 def minpoly(beta):
     # the characteristic polynomial of beta, as the pair tests use it
-    return _BetaContext(EtaleAlgebra(QUARTIC), [0] + list(beta)).minpoly
+    return _BetaContext(EtaleAlgebra(QUARTIC), list(beta)).minpoly
 
 
 def rand_gamma(rng):
@@ -275,8 +280,8 @@ def test_charpoly_against_sympy_on_random_integer_matrices():
             elif trial == 2:
                 m[rng.randrange(n)] = [0] * n
             want = sympy.Matrix(m).charpoly(X).all_coeffs()
-            assert _charpoly(m) == [int(v) for v in reversed(want)], m
-    assert _charpoly([[0, 0], [0, 0]]) == [0, 0, 1]
+            assert charpoly(m) == [int(v) for v in reversed(want)], m
+    assert charpoly([[0, 0], [0, 0]]) == [0, 0, 1]
 
 
 def test_beta_power_matrix_unimodular_for_generators():
@@ -337,6 +342,31 @@ def test_power_basis_matches_the_hnf_definition():
     assert all(seen.values()), seen
 
 
+def test_non_generator_is_refused_before_the_adjugate(monkeypatch, capsys):
+    # at degree 30 a random one-digit beta almost never generates Z[alpha];
+    # det P mod a prime refuses it without the exact adjugate, and
+    # check-gl2 still exits 2
+    import hermeq.equivalence as eq
+    calls = []
+
+    def counting(m, b):
+        calls.append(len(m))
+        return adjugate_solve(m, b)
+
+    monkeypatch.setattr(eq, "adjugate_solve", counting)
+    rng = random.Random(30)
+    f = [rng.randint(-9, 9) for _ in range(30)] + [1]
+    beta = [rng.randint(-9, 9) for _ in range(29)]
+    code = main(["check-gl2", "--poly", json.dumps(f), "--beta",
+                 json.dumps(beta), "--target", json.dumps([1] + [0] * 28)])
+    err = capsys.readouterr().err
+    assert code == 2 and "do not span" in err
+    assert calls == []
+    # a generator still reaches it, once
+    assert gl2_pair_test(f, [1] + [0] * 28, [1] + [0] * 28) is not None
+    assert calls == [30]
+
+
 def test_pair_test_and_partition_reject_a_vector_of_the_wrong_length():
     # a vector (b_2, ..., b_n) has n - 1 entries; a longer one must not be
     # read as a higher power of alpha, nor a shorter one fail in a product
@@ -368,6 +398,126 @@ def test_partition_is_order_independent():
     # map shuffled indices back to original ones
     back = sorted(sorted(perm[i] for i in c) for c in part)
     assert back == QUARTIC_CLASSES
+
+
+# Moebius substitutions whose denominator c beta + d is a unit whenever
+# beta and beta + 1 are: translations and a negation (c = 0), inversions
+# (d = 0) and three with c = d != 0
+ORBIT_GAMMAS = [[[1, 0], [0, 1]], [[-1, 2], [0, 1]], [[1, 5], [0, -1]],
+                [[0, 1], [1, 0]], [[3, 1], [-1, 0]],
+                [[1, 0], [1, 1]], [[2, 1], [1, 1]], [[-1, -2], [1, 1]]]
+TABLES = ("table1", "table2", "table3")
+
+
+def unit_poly(rng, n):
+    # a monic squarefree f of degree n with f(0) and f(-1) in {1, -1}: alpha
+    # and alpha + 1 are units of Z[alpha]
+    while True:
+        f = ([rng.choice([1, -1])] + [rng.randint(-3, 3) for _ in range(n - 1)]
+             + [1])
+        if sum(c * (-1) ** k for k, c in enumerate(f)) in (1, -1) \
+                and discriminant(f) != 0:
+            return f
+
+
+def moebius_image(beta, gamma):
+    # (a beta + b) / (c beta + d) if it lies in Z[alpha], else None
+    (a, b), (c, d) = gamma
+    try:
+        img = (a * beta + b) * (c * beta + d).inverse()
+    except DomainError:
+        return None
+    return img if img.den == 1 else None
+
+
+def seeded_orbit(rng, n):
+    # (f, betas, orbit of each beta, gamma of each beta): the images under
+    # ORBIT_GAMMAS of alpha and of one more generator of Z[alpha] from a
+    # small box, as vectors (b_2, ..., b_n), shuffled
+    f = unit_poly(rng, n)
+    alg = EtaleAlgebra(f)
+    bases = [alg.alpha()]
+    for _ in range(400):
+        beta = alg.element([0] + [rng.randint(-2, 2) for _ in range(n - 1)])
+        if _power_basis(alg, beta) is not None and beta != alg.alpha():
+            bases.append(beta)
+            break
+    rows = [(list(img.num[1:]), k, gamma)
+            for k, base in enumerate(bases) for gamma in ORBIT_GAMMAS
+            for img in [moebius_image(base, gamma)] if img is not None]
+    rng.shuffle(rows)
+    return f, [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+
+
+def test_minpoly_from_the_inverse_power_basis_matches_charpoly():
+    # X^n - (beta^n) P^-1 against the Faddeev-LeVerrier characteristic
+    # polynomial of beta's multiplication matrix, on every generator of the
+    # three tables and on seeded generators of degree 3..8
+    cases = []
+    for name in TABLES:
+        table = load_table(name)
+        cases += [(table["minpoly"], b) for b in table["betas"]]
+    rng = random.Random(79)
+    for n in range(3, 9):
+        f, betas, _, _ = seeded_orbit(rng, n)
+        cases += [(f, b) for b in betas]
+    assert len(cases) > 150
+    for f, b in cases:
+        alg = EtaleAlgebra(f)
+        beta = alg.element([0] + list(b))
+        want = charpoly(product_rows(beta, alg.alpha())[0])
+        assert _BetaContext(alg, list(b)).minpoly == want, (f, b)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_partition_matches_the_two_way_oracle_on_the_tables(name):
+    table = load_table(name)
+    assert partition_gl2(table["minpoly"], table["betas"]) == \
+        partition_two_way(table["minpoly"], table["betas"])
+
+
+def test_partition_matches_the_two_way_oracle_on_seeded_orbits():
+    # each pair tested once from the lower index, against every ordered
+    # pair; every orbit must land in one class.  Coverage: witnesses with
+    # c = 0 and with c != 0, inversions among the betas, a related pair
+    # whose constant coordinate w_0 in the lower beta's power basis is not
+    # 0, and a run with more than one class
+    rng = random.Random(80)
+    seen = {"c = 0": 0, "c != 0": 0, "inversion": 0, "w_0 != 0": 0,
+            "classes > 1": 0}
+    for n in (3, 4, 5, 6):
+        for _ in range(2):
+            f, betas, orbit, gammas = seeded_orbit(rng, n)
+            classes = partition_gl2(f, betas)
+            assert classes == partition_two_way(f, betas), (f, betas)
+            seen["classes > 1"] += len(classes) > 1
+            for k in set(orbit):
+                members = [i for i, o in enumerate(orbit) if o == k]
+                assert any(set(members) <= set(c) for c in classes)
+            seen["inversion"] += [[0, 1], [1, 0]] in gammas
+            alg = EtaleAlgebra(f)
+            for i, j in ((i, j) for c in classes for i in c for j in c
+                         if i < j):
+                w = gl2_pair_test(f, betas[i], betas[j])
+                assert w is not None
+                seen["c != 0" if w.gamma[1][0] else "c = 0"] += 1
+                p, _ = product_rows(alg.one(), alg.element([0] + betas[i]))
+                pinv = [[det_bareiss(p) * x for x in r] for r in adjugate(p)]
+                seen["w_0 != 0"] += mat_mul([[0] + betas[j]], pinv)[0][0] != 0
+    assert all(seen.values()), seen
+
+
+def test_partition_keeps_each_refusal_type():
+    # non-monic, degree 2, a vector of the wrong length: DomainError itself;
+    # a beta whose powers do not span Z[alpha]: PreconditionError
+    for f, betas, kind in (([1, 0, 0, 2], [(1, 0), (0, 1)], DomainError),
+                           ([-1, 1, 1], [(1,), (-1,)], DomainError),
+                           (QUARTIC, [(1, 0, 0), (1, 0)], DomainError),
+                           (QUARTIC, [(1, 0, 0), (2, 0, 0)],
+                            PreconditionError)):
+        with pytest.raises(DomainError) as exc:
+            partition_gl2(f, betas)
+        assert type(exc.value) is kind, (f, betas, exc.value)
 
 
 def test_hermite_witness_identity():

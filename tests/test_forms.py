@@ -7,8 +7,8 @@ import sympy
 
 from hermeq import intmat, intpoly
 from hermeq.algebra import invariant_order, norm_form, zeta_lattice
-from hermeq.forms import (MAX_FORM_DEGREE, DecomposableForm, act_gln,
-                          form_content, hermite_form, laplace_minors,
+from hermeq.forms import (MAX_FORM_BITS, MAX_FORM_DEGREE, DecomposableForm,
+                          act_gln, form_content, hermite_form, laplace_minors,
                           transfer_matrix, verify_disc_identity)
 from oracles import MPoly, power_sums
 
@@ -181,6 +181,11 @@ def test_form_degree_cap():
         hermite_form(f)
     with pytest.raises(intpoly.DomainError, match="MAX_FORM_DEGREE"):
         norm_form(zeta_lattice(f, MAX_FORM_DEGREE), invariant_order(f))
+    # the size cap: degree 3 has C(5, 3) * 3 = 30 per coefficient bit
+    lead = 1 << (MAX_FORM_BITS // 30)
+    with pytest.raises(intpoly.DomainError, match="MAX_FORM_BITS"):
+        hermite_form([1, 0, 0, lead])
+    assert hermite_form([1, 0, 0, lead // 2]).terms
 
 
 def test_form_content_examples():

@@ -286,6 +286,24 @@ def test_adjugate_solve_gives_det_and_adjugate_times_b():
         intmat.adjugate_solve([[1, 2], [3, 4]], [[1]])
 
 
+def test_det_mod_is_the_determinant_reduced_mod_q():
+    # against Bareiss, for small and word-sized primes, with singular
+    # matrices, forced row swaps and entries far larger than q
+    rng = random.Random(31)
+    for q in (2, 7, 2 ** 31 - 1):
+        for n in range(0, 7):
+            for t in range(6):
+                m = rand_mat(rng, n, n)
+                if t == 0 and n > 1:
+                    m[-1] = list(m[0])
+                if t == 1 and n:
+                    m[0][0] = 0
+                if t == 2:
+                    m = [[x * 10 ** 30 + rng.randint(-9, 9) for x in r]
+                         for r in m]
+                assert intmat.det_mod(m, q) == intmat.det_bareiss(m) % q, m
+
+
 def test_inverse_singular_raises():
     with pytest.raises(intmat.RankError):
         intmat.inverse_rational([[1, 2], [2, 4]])

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -70,6 +73,22 @@ def test_structured_serializers_are_deterministic():
 def test_int_list_accepts_big_decimal_strings():
     big = 10 ** 50
     assert int_list_from_json([str(big), str(-big)]) == [big, -big]
+
+
+def test_table_checksum_is_sha256_without_libcrypto():
+    # the digest is hashlib's SHA-256 of the canonical body; loading a
+    # table in a fresh interpreter maps no OpenSSL (about 3.5 MB resident)
+    # where CPython's builtin _sha256 exists
+    payload = make_table("demo", [1, 0, 1], [(1, 0)], [[1]])
+    body = {k: v for k, v in payload.items() if k != "sha256"}
+    want = hashlib.sha256(canonical_dumps(body).encode()).hexdigest()
+    assert table_checksum(payload) == want == payload["sha256"]
+    pytest.importorskip("_sha256")
+    code = ("import sys; from hermeq.jsonio import load_table; "
+            "load_table('table3'); print('_hashlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_table_checksum_catches_edits():
