@@ -10,18 +10,15 @@ from itertools import product
 from math import gcd, isqrt, lcm
 
 from .forms import DecomposableForm, check_form_size, laplace_minors
-from .intmat import (adjugate_solve, common_denominator, det_bareiss,
-                     hnf_lattice, identity, mat_mul, transpose)
+from .intmat import (adjugate_solve, det_bareiss, hnf_lattice, identity,
+                     mat_mul, transpose)
 from .intpoly import (DomainError, degree, discriminant, normalize,
                       poly_eval, primitive_part, scaled_power_sums)
 
 
 def _lowest(rows, den=1):
-    # rows of ints over a nonzero den, or of ints and Fractions (den 1), as
-    # integer rows over their least positive denominator
-    if any(type(x) is not int for row in rows for x in row):
-        rows, m = common_denominator(rows)
-        den *= m
+    # integer rows over a nonzero integer den, as integer rows over their
+    # least positive denominator
     g = gcd(den, *(x for row in rows for x in row))
     if den < 0:
         g = -g
@@ -104,15 +101,16 @@ class EtaleAlgebra:
         return self.element([0, 1] + [0] * (self.n - 2))
 
     def from_poly(self, p):
-        """The class of the polynomial p(X), any degree, int or Fraction
+        """The class of the polynomial p(X), any degree, integer
         coefficients; the zero element for p = [] too."""
         return self.zero() + poly_eval(p, self.alpha())
 
 
 class AlgElement:
     """sum(num[i] alpha^i) / den with den > 0 and gcd(den, *num) == 1, a
-    unique form, so == and hash compare the fields.  Built from ints over
-    den, or from ints and Fractions; coords is the read-only Fraction view."""
+    unique form, so == and hash compare the fields.  Built from integer
+    coordinates over a nonzero integer den; coords is the read-only
+    Fraction view."""
 
     __slots__ = ("algebra", "num", "den")
 
@@ -130,7 +128,7 @@ class AlgElement:
             if other.algebra != self.algebra:
                 raise DomainError("algebra mismatch")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             a = self.algebra
             return a.element([other] + [0] * (a.n - 1))
         return NotImplemented
@@ -155,9 +153,6 @@ class AlgElement:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._check(other)
         if other is NotImplemented:
@@ -165,17 +160,6 @@ class AlgElement:
         return elem_mul(self, other)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        out = self.algebra.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -238,9 +222,9 @@ def elem_mul(x, y):
 class IdealLattice:
     """Full-rank Z-lattice in an etale algebra.
 
-    The constructing basis (ints over den, or ints and Fractions) is kept
-    in its row order, which change-of-basis witnesses need, as integer rows
-    over the least positive denominator; basis is its Fraction view.
+    The constructing basis (integer rows over a nonzero integer den) is
+    kept in its row order, which change-of-basis witnesses need, as integer
+    rows over the least positive denominator.
     Equality uses the canonical pair (denominator, HNF of denominator * L).
     """
 
@@ -258,11 +242,6 @@ class IdealLattice:
         self.rows = rows
         self.denominator = den
         self.hnf = tuple(tuple(row) for row in h)
-
-    @property
-    def basis(self):
-        d = self.denominator
-        return [tuple(Fraction(x, d) for x in row) for row in self.rows]
 
     def key(self):
         return (self.algebra.key, self.denominator, self.hnf)
@@ -473,11 +452,6 @@ def _int_nth_root(v, n):
     return r if r ** n == v else None
 
 
-def _rational_nth_root(q, n):
-    p, d = _int_nth_root(q.numerator, n), _int_nth_root(q.denominator, n)
-    return None if p is None or d is None else Fraction(p, d)
-
-
 def _exponents(nvars, deg):
     # the exponent vectors of total degree deg in nvars variables
     if nvars == 1:
@@ -629,9 +603,10 @@ def colon_and_kappa_search(l1, l2, bound=50):
     if l1 == l2:
         return a.one()
     ratio = abs(l1.det_basis() / l2.det_basis())
-    c = _rational_nth_root(ratio, n)
-    if c is not None:
-        kappa = c * a.one()
+    p = _int_nth_root(ratio.numerator, n)
+    q = _int_nth_root(ratio.denominator, n)
+    if p is not None and q is not None:
+        kappa = AlgElement(a, [p] + [0] * (n - 1), q)
         if l2.scaled(kappa) == l1:
             return kappa
     col = colon_lattice(l1, l2)

@@ -15,6 +15,12 @@ _MONIC_LOG_PRECISION = 40
 # prints 130 KB in 0.5 s at n = 30 and 400 KB in 3.2 s at n = 50, and with
 # --monic 1 MB in 11.5 s at n = 600 (one run each, 2-core host, Python 3.11).
 MAX_BOUND_DEGREE = 30
+# The general height bound (16 n^3)^(25 n^2) |d|^(5n-3) has at most
+# 25 n^2 bits(16 n^3) + (5n - 3) bits(d) bits; coeff_bound_log refuses an
+# (n, d) whose count is over this cap, before forming the bound.  Printing
+# a bound of 10^6 bits (301,030 digits) takes 1.6 s (2-core host, Python
+# 3.11); at n = 4 the cap admits a d of 58,564 bits, about 17,630 digits.
+MAX_HEIGHT_BITS = 10 ** 6
 
 
 def _check_degree(n):
@@ -44,6 +50,11 @@ def coeff_bound_log(n, d, monic=False):
         raise DomainError("discriminant must be nonzero")
     ad = abs(d)
     if not monic:
+        bits = 25 * n * n * (16 * n ** 3).bit_length() \
+            + (5 * n - 3) * ad.bit_length()
+        if bits > MAX_HEIGHT_BITS:
+            raise DomainError("height bound of up to %d bits is over the cap "
+                              "MAX_HEIGHT_BITS = %d" % (bits, MAX_HEIGHT_BITS))
         return (16 * n ** 3) ** (25 * n * n) * ad ** (5 * n - 3)
     with localcontext() as ctx:
         ctx.prec = _MONIC_LOG_PRECISION
@@ -70,13 +81,15 @@ def max_degree(d, monic=False):
 
     Elementary but easy to get wrong in floating point when |d| is a
     power of 3, so the floor is taken by exact integer comparison:
-    floor(2 log_3 |d|) is the largest k with 3^k <= d^2.
+    floor(2 log_3 |d|) is the largest k with 3^k <= d^2.  The count starts
+    from k0 = floor((b - 1) 200 / 317), b = bits(d^2): 317/200 > log2(3),
+    so 3^k0 < 2^(b-1) <= d^2, and k - k0 is at most 2 + 1.5e-5 b.
     """
     if d == 0:
         raise DomainError("discriminant must be nonzero")
     dd = d * d
-    k = 0
-    p = 3
+    k = (dd.bit_length() - 1) * 200 // 317
+    p = 3 ** (k + 1)
     while p <= dd:
         k += 1
         p *= 3

@@ -168,20 +168,16 @@ def _gl2_gamma(f, b):
 def gl2_witness_solve(f, beta):
     """GL2(Z) witness gamma with beta = (a alpha + b)/(c alpha + d), or None.
 
-    f must be monic of degree >= 3; beta gives the coordinates of the target
-    element, either (b_2, ..., b_n) or all n coordinates, in which case the
-    constant one is normalized away (a translation, harmless to existence).
-    Only this embedding alpha -> beta is examined.
+    f must be monic of degree >= 3; beta gives the coordinates
+    (b_2, ..., b_n) of the target element past its constant one, which a
+    translation moves freely; any other length is a DomainError.  Only this
+    embedding alpha -> beta is examined.
     """
     f = normalize(f)
     n = degree(f)
     if n < 3 or f[-1] != 1:
         raise DomainError("witness solver needs a monic polynomial of degree >= 3")
-    b = list(beta)
-    if len(b) == n:
-        b = b[1:]
-    if len(b) != n - 1:
-        raise DomainError("beta vector has wrong length")
+    b = _vector(n, beta, "beta")
     if not any(b):
         raise DomainError("beta must be nonzero")
     gamma = _gl2_gamma(f, b)

@@ -7,7 +7,6 @@
 # (choice of primes p, c, t) follows exact congruence and root-freeness
 # searches, smallest candidate first.
 
-from fractions import Fraction
 from math import comb
 
 from .algebra import EtaleAlgebra
@@ -85,11 +84,11 @@ def shifted_kit_poly(n):
     cn = catalan(n - 1)
     out = []
     for i in range(n - 1):
-        v = Fraction(cn * comb(n, i) * (n - 1 - i) * (n - i),
-                     (n - 1 + i) * (n + i))
-        if v.denominator != 1:
+        v, r = divmod(cn * comb(n, i) * (n - 1 - i) * (n - i),
+                      (n - 1 + i) * (n + i))
+        if r:
             raise AssertionError("closed form not integral")
-        out.append(int(v))
+        out.append(v)
     return normalize(out)
 
 

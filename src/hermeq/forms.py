@@ -46,18 +46,6 @@ class DecomposableForm:
     def __repr__(self):
         return "DecomposableForm(%d, %r)" % (self.n, self.terms)
 
-    def evaluate(self, point):
-        if len(point) != self.n:
-            raise DomainError("evaluation point has wrong length")
-        total = 0
-        for e, c in self.terms.items():
-            t = c
-            for x, k in zip(point, e):
-                if k:
-                    t *= x ** k
-            total += t
-        return total
-
 
 # Above this degree hermite_form and norm_form refuse their input.  Each
 # grows about tenfold per degree: at degree 9 each takes about 4 s on a

@@ -7,7 +7,6 @@
 # thing that matters is exactness.
 
 from fractions import Fraction
-from math import lcm
 
 
 class DimensionError(ValueError):
@@ -116,14 +115,6 @@ def det_cofactor(m):
         term = x * det_cofactor(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
-
-
-def common_denominator(m):
-    """(a, d): the integer matrix a and least d > 0 with m = a / d, for a
-    matrix m of ints and Fractions."""
-    m = [[Fraction(x) for x in row] for row in m]
-    d = lcm(*(x.denominator for row in m for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
 
 
 def det_mod(m, q):
@@ -269,13 +260,14 @@ def hnf_lattice(m):
     return rows[:rank], rank
 
 
-def inverse_rational(m):
-    """Exact inverse with Fraction entries; RankError if singular."""
-    a, d = common_denominator(m)
-    det, adj = adjugate_solve(a, identity(len(a)))
+def inverse_rational(m, den=1):
+    """Exact inverse of the integer matrix m over the positive integer den,
+    (m / den)^-1 = den adj(m) / det(m), with Fraction entries; RankError if
+    m is singular."""
+    det, adj = adjugate_solve(m, identity(len(m)))
     if det == 0:
         raise RankError("singular matrix")
-    return [[Fraction(d * x, det) for x in row] for row in adj]
+    return [[Fraction(den * x, det) for x in row] for row in adj]
 
 
 def is_unimodular(m):

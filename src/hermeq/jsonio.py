@@ -13,7 +13,6 @@
 
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 
 from .intpoly import DomainError
@@ -46,7 +45,8 @@ def _unlimited(conv, *args):
 
 
 def int_to_str(x):
-    """Decimal string of an integer (or Decimal) of any length."""
+    """Decimal string of an integer, a Fraction ("p" or "p/q") or a Decimal,
+    of any length."""
     return _unlimited(str, x)
 
 
@@ -92,15 +92,8 @@ def matrix_to_json(m):
     return [[int_to_str(x) for x in row] for row in m]
 
 
-def fraction_to_str(x):
-    x = Fraction(x)
-    num = int_to_str(x.numerator)
-    return num if x.denominator == 1 else \
-        num + "/" + int_to_str(x.denominator)
-
-
 def element_to_json(x):
-    return {"coords": [fraction_to_str(c) for c in x.coords]}
+    return {"coords": [int_to_str(c) for c in x.coords]}
 
 
 def form_to_json(form):

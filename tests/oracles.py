@@ -7,17 +7,21 @@ one line along the last coordinate at a time.  dual_lattice() is the
 trace-form dual, the route to colon lattices by duality.  adjugate() is
 the cofactor definition that intmat.adjugate_solve is checked against;
 power_sums() and trace_and_norm() are Fraction views of the traces and
-norms hermeq computes in integers; unit_lattice() is Z[alpha];
-make_table() writes table fixtures; resolvent_cubic() is the pencil
-determinant of a quartic pair, which quartic.act moves by a variable
-substitution.  charpoly() is the Faddeev-LeVerrier characteristic
-polynomial the minimal polynomials of the GL2 pair tests are checked
-against, and partition_two_way() the partition by pair tests in both
-directions.
+norms hermeq computes in integers; form_value() evaluates a decomposable
+form term by term, the reference for the search's compiled evaluators;
+power() raises an element to a power by repeated multiplication, and
+element_lattice() is the lattice on a basis of elements, each reduced on
+its own; unit_lattice() is Z[alpha]; make_table() writes table fixtures;
+resolvent_cubic() is the pencil determinant of a quartic pair, which
+quartic.act moves by a variable substitution.  charpoly() is the
+Faddeev-LeVerrier characteristic polynomial the minimal polynomials of the
+GL2 pair tests are checked against, and partition_two_way() the partition
+by pair tests in both directions.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from hermeq.algebra import EtaleAlgebra, IdealLattice, _gram, product_rows
 from hermeq.equivalence import gl2_witness_solve
@@ -88,6 +92,35 @@ def partition_two_way(f, betas):
     for i in range(len(betas)):
         classes.setdefault(find(i), []).append(i)
     return sorted(sorted(c) for c in classes.values())
+
+
+def form_value(form, point):
+    """The value of a forms.DecomposableForm at a point, term by term: the
+    brute-force reference for the search's compiled evaluators."""
+    if len(point) != form.n:
+        raise DomainError("evaluation point has wrong length")
+    total = 0
+    for e, c in form.terms.items():
+        for x, k in zip(point, e):
+            c *= x ** k
+        total += c
+    return total
+
+
+def power(x, k):
+    """x^k for an AlgElement x and k >= 0, by repeated multiplication."""
+    out = x.algebra.one()
+    for _ in range(k):
+        out = out * x
+    return out
+
+
+def element_lattice(elems):
+    """The lattice on the basis elems, n AlgElements each reduced on its
+    own, as integer rows over their least common denominator."""
+    d = lcm(*(x.den for x in elems))
+    return IdealLattice(elems[0].algebra,
+                        [[c * (d // x.den) for c in x.num] for x in elems], d)
 
 
 def power_sums(f, m):

@@ -15,8 +15,8 @@ from hermeq.algebra import (MAX_SEARCH_BOUND, AlgElement, EtaleAlgebra,
 from hermeq.forms import DecomposableForm, hermite_form
 from hermeq.intmat import hnf_lattice, inverse_rational, mat_mul
 from hermeq.intpoly import DomainError
-from oracles import (dual_lattice, lines, power_sums, trace_and_norm,
-                     unit_lattice)
+from oracles import (dual_lattice, element_lattice, form_value, lines, power,
+                     power_sums, trace_and_norm, unit_lattice)
 
 
 def rand_sf_poly(rng, maxdeg=5, monic=False, primitive=False):
@@ -82,17 +82,19 @@ def test_elem_mul_and_from_poly_match_polynomial_remainder():
                 if intpoly.discriminant(g) != 0:
                     break
             algebras.append(g)
-    rand = lambda m: [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                      for _ in range(m)]
+    rand = lambda m: [rng.randint(-9, 9) for _ in range(m)]
     for g in algebras:
         a = EtaleAlgebra(g)
         n = a.n
         for _ in range(3):
             x, y = rand(n), rand(n)
-            xy = [sum(x[i] * y[k - i] for i in range(n) if 0 <= k - i < n)
+            dx, dy = rng.randint(1, 4), rng.randint(1, 4)
+            xy = [Fraction(sum(x[i] * y[k - i] for i in range(n)
+                               if 0 <= k - i < n), dx * dy)
                   for k in range(2 * n - 1)]
             p = rand(rng.randint(2 * n, 3 * n))  # degree >= 2n - 1
-            for got, want in ((elem_mul(a.element(x), a.element(y)), xy),
+            for got, want in ((elem_mul(AlgElement(a, x, dx),
+                                        AlgElement(a, y, dy)), xy),
                               (a.from_poly(p), p)):
                 assert got.coords == rem_reference(want, g), g
                 assert got.den > 0 and gcd(got.den, *got.num) == 1
@@ -100,14 +102,28 @@ def test_elem_mul_and_from_poly_match_polynomial_remainder():
 
 def test_equal_elements_from_different_inputs_are_equal():
     a = EtaleAlgebra(CUBIC)
-    forms = [a.element([Fraction(1, 2), 1, Fraction(-4, 3)]),
-             a.element([Fraction(3, 6), Fraction(5, 5), Fraction(-8, 6)]),
-             AlgElement(a, [3, 6, -8], 6),
-             AlgElement(a, [Fraction(3, 2), 3, -4], 3),
-             a.element([1, 2, Fraction(-8, 3)]) * Fraction(1, 2)]
+    forms = [AlgElement(a, [3, 6, -8], 6),
+             AlgElement(a, [6, 12, -16], 12),
+             AlgElement(a, [-3, -6, 8], -6),
+             AlgElement(a, [1, 0, 0], 2) + AlgElement(a, [0, 3, -4], 3),
+             AlgElement(a, [3, 6, -8], 3) * AlgElement(a, [1, 0, 0], 2)]
     for x in forms:
         assert x == forms[0] and hash(x) == hash(forms[0])
         assert (x.num, x.den) == ((3, 6, -8), 6)
+
+
+def test_fraction_coordinates_are_refused():
+    # integer coordinates over a denominator are the one input format
+    a = EtaleAlgebra(CUBIC)
+    half = Fraction(1, 2)
+    for build in (lambda: a.element([half, 1, 0]),
+                  lambda: AlgElement(a, [1, 2, 3], half),
+                  lambda: a.from_poly([1, half]),
+                  lambda: a.one() * half,
+                  lambda: IdealLattice(a, [[half, 0, 0], [0, 1, 0],
+                                           [0, 0, 1]])):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_elem_mul_algebra_mismatch():
@@ -152,11 +168,10 @@ def test_zeta_lattice_monic_is_unit():
 
 def test_zeta_lattice_cubic_bases():
     r = zeta_lattice(CUBIC, 0)
-    assert [list(map(int, row)) for row in r.basis] == [
-        [1, 0, 0], [0, 2, 0], [0, 3, 2]]
+    assert (r.rows, r.denominator) == ([[1, 0, 0], [0, 2, 0], [0, 3, 2]], 1)
     i1 = zeta_lattice(CUBIC, 1)
-    assert [list(map(int, row)) for row in i1.basis] == [
-        [1, 0, 0], [0, 1, 0], [0, 3, 2]]
+    assert (i1.rows, i1.denominator) == ([[1, 0, 0], [0, 1, 0], [0, 3, 2]],
+                                         1)
 
 
 def test_zeta_lattice_range_errors():
@@ -277,17 +292,22 @@ def test_inverse_different_relation():
 def test_lattice_equal_and_change_of_basis():
     # the change of basis U, basis(l1) = U basis(l2), is unimodular exactly
     # when the lattices are equal
+    def change_of_basis(l1, l2):
+        # (rows1 / d1) (rows2 / d2)^-1
+        return [[x / l1.denominator for x in row]
+                for row in mat_mul(l1.rows, inverse_rational(l2.rows,
+                                                             l2.denominator))]
+
     a = EtaleAlgebra(CUBIC)
     l = zeta_lattice(CUBIC, 0, a)
     assert lattice_equal(l, l)
-    perm = IdealLattice(a, [l.basis[2], l.basis[0], l.basis[1]])
+    perm = IdealLattice(a, [l.rows[2], l.rows[0], l.rows[1]], l.denominator)
     assert lattice_equal(l, perm)
-    assert mat_mul(perm.basis, inverse_rational(l.basis)) == [
-        [0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    assert change_of_basis(perm, l) == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
     u = unit_lattice(a)
     doubled = IdealLattice(a, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
     assert not lattice_equal(u, doubled)
-    assert mat_mul(u.basis, inverse_rational(doubled.basis)) == [
+    assert change_of_basis(u, doubled) == [
         [Fraction(1, 2) * (i == j) for j in range(3)] for i in range(3)]
 
 
@@ -339,10 +359,11 @@ def test_trace_form_disc_scaling_law():
     a = EtaleAlgebra(f)
     r = zeta_lattice(f, 0, a)
     for _ in range(10):
-        rows = [[Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+        # entries p / q with q in 1, 2, 3, as integer rows over 6
+        rows = [[rng.randint(-6, 6) * 6 // rng.choice([1, 1, 2, 3])
                  for _ in range(3)] for _ in range(3)]
         try:
-            l = IdealLattice(a, rows)
+            l = IdealLattice(a, rows, 6)
         except DomainError:
             continue
         assert trace_form_disc(l) == lattice_norm(l, r) ** 2 * trace_form_disc(r)
@@ -407,13 +428,15 @@ def test_integer_trace_form_matches_multiplication_matrix_traces():
         ps = power_sums(g, 2 * n - 2)
         for k in range(2 * n - 1):
             assert type(q[k]) is int
-            assert q[k] == g[-1] ** k * ps[k] == g[-1] ** k * tr(a.alpha() ** k)
+            assert q[k] == g[-1] ** k * ps[k] == \
+                g[-1] ** k * tr(power(a.alpha(), k))
         lattices = [zeta_lattice(g, rng.randrange(n), a)]
         while len(lattices) < 3:
-            rows = [[Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
+            # entries p / q with q in 1, 2, 3, as integer rows over 6
+            rows = [[rng.randint(-5, 5) * 6 // rng.choice([1, 1, 2, 3])
                      for _ in range(n)] for _ in range(n)]
             try:
-                lattices.append(IdealLattice(a, rows))
+                lattices.append(IdealLattice(a, rows, 6))
             except DomainError:
                 pass
         for l in lattices:
@@ -445,7 +468,7 @@ def test_norm_form_requires_order():
     a = EtaleAlgebra(GAUSS)
     u = unit_lattice(a)
     # (1/2)Z + Za is not closed under multiplication
-    not_ring = IdealLattice(a, [[Fraction(1, 2), 0], [0, 1]])
+    not_ring = IdealLattice(a, [[1, 0], [0, 2]], 2)
     with pytest.raises(DomainError):
         norm_form(u, not_ring)
 
@@ -476,7 +499,7 @@ def test_power_lattice_membership():
         p = [0] + scx  # X * s(cX)
         x = a.from_poly(p)
         for k in range(n):
-            assert top.contains(x ** k)
+            assert top.contains(power(x, k))
 
 
 def test_is_invertible_iff_primitive():
@@ -515,8 +538,7 @@ def test_kappa_search_nontrivial_generator():
     l = IdealLattice(a, [[1, 1], [-1, 1]])
     k = colon_and_kappa_search(l, u, 5)
     assert k is not None
-    scaled = IdealLattice(a, [list((k * b).coords) for b in u.basis_elements()])
-    assert scaled == l
+    assert element_lattice([k * b for b in u.basis_elements()]) == l
 
 
 def test_kappa_search_inconclusive():
@@ -582,14 +604,11 @@ def first_hit(l1, l2, bound):
     col = colon_lattice(l1, l2)
     want = lattice_norm(l1, l2)
     for z in box_reference(a.n, bound):
-        kappa = AlgElement(a, [Fraction(sum(zi * row[j]
-                                            for zi, row in zip(z, col.hnf)),
-                                        col.denominator)
-                               for j in range(a.n)])
+        kappa = AlgElement(a, [sum(zi * row[j] for zi, row in zip(z, col.hnf))
+                               for j in range(a.n)], col.denominator)
         if abs(trace_and_norm(kappa)[1]) != want:
             continue
-        if IdealLattice(a, [list((kappa * b).coords)
-                            for b in l2.basis_elements()]) == l1:
+        if element_lattice([kappa * b for b in l2.basis_elements()]) == l1:
             if next(c for c in kappa.coords if c) < 0:
                 kappa = -kappa
             return z, kappa
@@ -633,7 +652,7 @@ def test_kappa_search_returns_the_first_hit_of_the_box():
 def test_compiled_evaluators_match_direct_evaluation():
     # n = 2 has an empty head.  For every value w of every block of the
     # box, scan through head must return exactly the points of the block
-    # where |P| = |w| by DecomposableForm.evaluate, each once, plus the
+    # where |P| = |w| by oracles.form_value, each once, plus the
     # zero prefix's (0, ..., 0, -s) when it qualifies; and nothing for a
     # value beyond them all
     rng = random.Random(41)
@@ -655,7 +674,8 @@ def test_compiled_evaluators_match_direct_evaluation():
             points += len(covered)
             if not any(prefix):
                 covered.append((0, -s))
-            value = {pt: abs(form.evaluate(prefix + pt)) for pt in covered}
+            value = {pt: abs(form_value(form, prefix + pt))
+                     for pt in covered}
             us = [p[-1] for p, _ in block]
             rows = s in prefix or -s in prefix
             for w in set(value.values()):
@@ -671,7 +691,7 @@ def test_compiled_evaluators_match_direct_evaluation():
 def test_scan_matches_brute_force():
     # a full block (rows true), a ring block (every t only where |u| = s)
     # and the zero prefix's half ring (u >= 0) against the values of the
-    # points each covers, by DecomposableForm.evaluate; every value and its
+    # points each covers, by oracles.form_value; every value and its
     # negative must be found, and values outside +-that set must not
     rng = random.Random(47)
     for n in range(2, 6):
@@ -691,7 +711,7 @@ def test_scan_matches_brute_force():
             for prefix, us, rows in kinds:
                 prefix = prefix[:n - 2]
                 h = head(coeffs, *prefix)
-                values = {form.evaluate(prefix + (u, t)) for u in us
+                values = {form_value(form, prefix + (u, t)) for u in us
                           for t in (full if rows or abs(u) == s else (-s, s))}
                 for v in values:
                     assert scan(h, us, s, rows, v), (n, s, prefix, rows, v)

@@ -3,8 +3,10 @@ from decimal import Decimal
 import pytest
 import sympy
 
-from hermeq.bounds import (MAX_BOUND_DEGREE, bound_report, coeff_bound_log,
-                           max_degree, split_counts, split_refinement)
+from hermeq import bounds
+from hermeq.bounds import (MAX_BOUND_DEGREE, MAX_HEIGHT_BITS, bound_report,
+                           coeff_bound_log, max_degree, split_counts,
+                           split_refinement)
 from hermeq.intpoly import DomainError
 
 
@@ -67,6 +69,27 @@ def test_degree_over_the_cap_is_refused():
             call()
 
 
+def test_height_bound_cap_at_its_value_and_one_bit_over(monkeypatch):
+    # at n = 4 the bound has at most 25 * 16 * bits(1024) + 17 bits(d)
+    # bits: the largest d the cap admits has 58,564 bits, and one bit more
+    # is refused before the bound is formed; the monic bound has no cap
+    size = 25 * 16 * 11 + 17 * 58564
+    assert size <= MAX_HEIGHT_BITS < size + 17
+    d = (1 << 58564) - 1
+    assert 0 < coeff_bound_log(4, -d).bit_length() <= MAX_HEIGHT_BITS
+    for disc in (d + 1, -(d + 1)):
+        with pytest.raises(DomainError, match="MAX_HEIGHT_BITS = %d"
+                           % MAX_HEIGHT_BITS):
+            coeff_bound_log(4, disc)
+    assert coeff_bound_log(4, d + 1, monic=True) > 0
+    # the count exactly at the cap passes, one bit over it is refused
+    monkeypatch.setattr(bounds, "MAX_HEIGHT_BITS", size)
+    assert coeff_bound_log(4, d) > 0
+    monkeypatch.setattr(bounds, "MAX_HEIGHT_BITS", size - 1)
+    with pytest.raises(DomainError, match="MAX_HEIGHT_BITS = %d" % (size - 1)):
+        bound_report(4, d)
+
+
 def test_max_degree_values():
     assert max_degree(1) == 3
     assert max_degree(1, monic=True) == 2
@@ -82,6 +105,23 @@ def test_max_degree_exact_at_powers_of_three():
     assert max_degree(3 ** 7) == 3 + 14
     assert max_degree(3 ** 7 - 1) == 3 + 13
     assert max_degree(3 ** 7 + 1) == 3 + 14
+
+
+def test_max_degree_matches_the_count_from_zero():
+    # the count starts from a lower bound read off the bit length, since
+    # 3^200 < 2^317; against the count from k = 0 on and off powers of 3
+    assert 3 ** 200 < 2 ** 317
+
+    def reference(d):
+        k, p = 0, 3
+        while p <= d * d:
+            k, p = k + 1, 3 * p
+        return 3 + k
+
+    for j in range(0, 400, 7):
+        for d in (3 ** j - 1, 3 ** j, 3 ** j + 1, 2 ** j, -(2 ** j) - 1):
+            if d:
+                assert max_degree(d) == reference(d), d
 
 
 def test_split_counts_table():

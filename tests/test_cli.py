@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from importlib import resources
 
 import pytest
@@ -223,6 +224,24 @@ def test_bounds_degree_over_the_cap_exits_2(capsys):
                          "--disc", "5", "--monic")
     assert (code, out) == (2, "")
     assert "MAX_BOUND_DEGREE" in err and err.count("\n") == 1
+
+
+def test_bounds_height_over_the_cap_exits_2(capsys):
+    # 100,000 digits are inside the input cap; the general height bound
+    # of degree 4 would have 5.6M bits, refused before it is formed, and
+    # the monic report, which has no such bound, still prints
+    disc = "7" * MAX_INPUT_DIGITS
+    code, out, err = run(capsys, "bounds", "--n", "4", "--disc", disc)
+    assert (code, out) == (2, "")
+    assert "MAX_HEIGHT_BITS" in err and err.count("\n") == 1
+    code, out, err = run(capsys, "bounds", "--n", "4", "--disc", disc,
+                         "--monic")
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    with localcontext() as ctx:  # 2 + floor(2 log_3 d), far from an integer
+        ctx.prec = 30
+        assert rep["degree_cap"] == 2 + int(2 * Decimal(disc).ln()
+                                            / Decimal(3).ln())
 
 
 @pytest.mark.parametrize("wrap", [

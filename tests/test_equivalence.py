@@ -1,6 +1,5 @@
 import json
 import random
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -12,7 +11,7 @@ from hermeq.equivalence import (ContentMismatchError, DegenerateSystemError,
                                 gl2_pair_test, gl2_witness_solve,
                                 hermite_witness_check, partition_gl2,
                                 reducible_pair, z_equiv_test)
-from hermeq.algebra import EtaleAlgebra, product_rows
+from hermeq.algebra import AlgElement, EtaleAlgebra, product_rows
 from hermeq.cli import main
 from hermeq.intmat import (adjugate_solve, det_bareiss, hnf_lattice, identity,
                            mat_mul)
@@ -193,6 +192,13 @@ def test_witness_solve_rejects_zero():
         gl2_witness_solve(QUARTIC, [0, 0, 0])
 
 
+def test_witness_solve_takes_only_the_n_minus_1_vector():
+    # all n coordinates, the constant one included, are refused: the
+    # message names the n - 1 entries the degree needs
+    with pytest.raises(DomainError, match=r"needs n - 1 = 3"):
+        gl2_witness_solve(QUARTIC, [0, 1, 0, 0])
+
+
 def test_witness_solve_rejects_non_monic():
     with pytest.raises(DomainError):
         gl2_witness_solve([1, 0, 0, 2], [1, 0, 0])
@@ -310,7 +316,7 @@ def test_power_basis_on_hand_cases():
     assert p == [[1, 0], [0, -1]] and det_bareiss(p) == -1
     assert pinv == p
     q = EtaleAlgebra(QUARTIC)
-    assert _power_basis(q, q.from_poly([0, Fraction(1, 2)])) is None
+    assert _power_basis(q, AlgElement(q, [0, 1, 0, 0], 2)) is None
     assert _power_basis(q, 3 * q.one()) is None
     # alpha^2 - alpha - 2 is -2 at both roots 0 and 1 of X^3 - X, so its
     # powers span only a plane

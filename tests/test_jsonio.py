@@ -5,11 +5,11 @@ import sys
 
 import pytest
 
-from hermeq.algebra import EtaleAlgebra, zeta_lattice
+from hermeq.algebra import AlgElement, EtaleAlgebra, zeta_lattice
 from hermeq.forms import hermite_form
 from hermeq.intpoly import DomainError
 from hermeq.jsonio import (MAX_INPUT_DEGREE, canonical_dumps,
-                           element_to_json, form_to_json, fraction_to_str,
+                           element_to_json, form_to_json,
                            int_list_from_json, lattice_to_json, load_table,
                            matrix_to_json, pair_to_json, parse_table,
                            poly_from_json, poly_to_json, table_checksum)
@@ -45,9 +45,13 @@ def test_matrix_round_trip():
 
 
 def test_fraction_strings():
-    from fractions import Fraction
-    assert fraction_to_str(Fraction(3)) == "3"
-    assert fraction_to_str(Fraction(-7, 2)) == "-7/2"
+    # coordinates print as "p" or "p/q", past the interpreter's 4,300-digit
+    # str limit too
+    alg = EtaleAlgebra([1, 2, -4, -1, 1])
+    big = 10 ** 5000
+    x = AlgElement(alg, [6, -7, 2 * big, big + 1], 2)
+    assert element_to_json(x) == {"coords": [
+        "3", "-7/2", "1" + "0" * 5000, "1" + "0" * 4999 + "1/2"]}
 
 
 def test_structured_serializers_are_deterministic():

@@ -8,6 +8,7 @@ from hermeq.intpoly import DomainError, content, discriminant
 from hermeq.pairfamilies import (PAIR_EXPR, quartic_pair, quartic_params_ok,
                                  quartic_samples, quintic_pair,
                                  quintic_params_ok, quintic_samples)
+from oracles import power
 
 X, Y, S, T = sympy.symbols("x y s t")
 
@@ -21,7 +22,7 @@ def beta_power_rows_descending(f, expr):
     n = len(f) - 1
     alg = EtaleAlgebra(f)
     beta = alg.from_poly(expr)
-    return [[(beta ** (n - 1 - a)).coords[n - 1 - b] for b in range(n)]
+    return [[power(beta, n - 1 - a).coords[n - 1 - b] for b in range(n)]
             for a in range(n)]
 
 

@@ -5,16 +5,20 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "hermeq")
 
 
+def _trees(directory):
+    # (file name, syntax tree) of each module in directory
+    for fn in sorted(os.listdir(directory)):
+        if fn.endswith(".py"):
+            with open(os.path.join(directory, fn), encoding="utf-8") as fh:
+                yield fn, ast.parse(fh.read())
+
+
 def _modules():
     # {module: (top-level definitions by name, imported names)}, "" for the
     # package itself; an imported name maps to (module, name) for the
     # relative imports anywhere in the module, nested ones included
     out = {}
-    for fn in sorted(os.listdir(SRC)):
-        if not fn.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, fn), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for fn, tree in _trees(SRC):
         defs, imports = {}, {}
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -88,16 +92,33 @@ def test_every_top_level_definition_is_reachable():
     assert not dead, dead
 
 
+def test_every_class_member_is_read():
+    # a method or property of a src/hermeq class, dunders aside, whose name
+    # is never read as an attribute in src/hermeq or perfbench is dead code
+    # (a test reference belongs in tests/oracles.py)
+    members, read = [], set()
+    for directory in (SRC, os.path.join(ROOT, "perfbench")):
+        for fn, tree in _trees(directory):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and isinstance(
+                        node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ClassDef) and directory == SRC:
+                    members += ["%s.%s.%s" % (fn[:-3], node.name, item.name)
+                                for item in node.body
+                                if isinstance(item, ast.FunctionDef)
+                                and not (item.name.startswith("__")
+                                         and item.name.endswith("__"))]
+    dead = [m for m in members if m.rsplit(".", 1)[1] not in read]
+    assert not dead, dead
+
+
 def test_no_module_has_an_unused_import():
     # every name an import binds in src/hermeq, at top level or inside a
     # function, must be read somewhere in that module; the package's own
     # imports are its public API and count as read through __all__
     unused = []
-    for fn in sorted(os.listdir(SRC)):
-        if not fn.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, fn), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for fn, tree in _trees(SRC):
         bound, read = {}, set()
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
