@@ -43,7 +43,9 @@ def coeff_bound_log(n, d, monic=False):
     computed with every operation rounded toward +infinity at 40 digits,
     which keeps it a certified upper bound.  A degree outside
     2..MAX_BOUND_DEGREE raises DomainError, here and in split_counts and
-    split_refinement.
+    split_refinement.  A general bound whose bit count
+    25 n^2 bits(16 n^3) + (5n - 3) bits(d) is over MAX_HEIGHT_BITS raises
+    DomainError before the bound is formed.
     """
     _check_degree(n)
     if d == 0:

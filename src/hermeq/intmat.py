@@ -260,14 +260,13 @@ def hnf_lattice(m):
     return rows[:rank], rank
 
 
-def inverse_rational(m, den=1):
-    """Exact inverse of the integer matrix m over the positive integer den,
-    (m / den)^-1 = den adj(m) / det(m), with Fraction entries; RankError if
-    m is singular."""
+def inverse_rational(m):
+    """Exact inverse adj(m) / det(m) of the integer matrix m, with Fraction
+    entries; RankError if m is singular."""
     det, adj = adjugate_solve(m, identity(len(m)))
     if det == 0:
         raise RankError("singular matrix")
-    return [[Fraction(den * x, det) for x in row] for row in adj]
+    return [[Fraction(x, det) for x in row] for row in adj]
 
 
 def is_unimodular(m):

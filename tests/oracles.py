@@ -9,9 +9,8 @@ the cofactor definition that intmat.adjugate_solve is checked against;
 power_sums() and trace_and_norm() are Fraction views of the traces and
 norms hermeq computes in integers; form_value() evaluates a decomposable
 form term by term, the reference for the search's compiled evaluators;
-power() raises an element to a power by repeated multiplication, and
-element_lattice() is the lattice on a basis of elements, each reduced on
-its own; unit_lattice() is Z[alpha]; make_table() writes table fixtures;
+power() raises an element to a power by repeated multiplication;
+unit_lattice() is Z[alpha]; make_table() writes table fixtures;
 resolvent_cubic() is the pencil determinant of a quartic pair, which
 quartic.act moves by a variable substitution.  charpoly() is the
 Faddeev-LeVerrier characteristic polynomial the minimal polynomials of the
@@ -21,7 +20,6 @@ by pair tests in both directions.
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from hermeq.algebra import EtaleAlgebra, IdealLattice, _gram, product_rows
 from hermeq.equivalence import gl2_witness_solve
@@ -113,14 +111,6 @@ def power(x, k):
     for _ in range(k):
         out = out * x
     return out
-
-
-def element_lattice(elems):
-    """The lattice on the basis elems, n AlgElements each reduced on its
-    own, as integer rows over their least common denominator."""
-    d = lcm(*(x.den for x in elems))
-    return IdealLattice(elems[0].algebra,
-                        [[c * (d // x.den) for c in x.num] for x in elems], d)
 
 
 def power_sums(f, m):

@@ -15,7 +15,7 @@ from hermeq.algebra import (MAX_SEARCH_BOUND, AlgElement, EtaleAlgebra,
 from hermeq.forms import DecomposableForm, hermite_form
 from hermeq.intmat import hnf_lattice, inverse_rational, mat_mul
 from hermeq.intpoly import DomainError
-from oracles import (dual_lattice, element_lattice, form_value, lines, power,
+from oracles import (dual_lattice, form_value, lines, power,
                      power_sums, trace_and_norm, unit_lattice)
 
 
@@ -293,10 +293,9 @@ def test_lattice_equal_and_change_of_basis():
     # the change of basis U, basis(l1) = U basis(l2), is unimodular exactly
     # when the lattices are equal
     def change_of_basis(l1, l2):
-        # (rows1 / d1) (rows2 / d2)^-1
-        return [[x / l1.denominator for x in row]
-                for row in mat_mul(l1.rows, inverse_rational(l2.rows,
-                                                             l2.denominator))]
+        # (rows1 / d1) (rows2 / d2)^-1 = (d2 / d1) rows1 rows2^-1
+        return [[x * l2.denominator / l1.denominator for x in row]
+                for row in mat_mul(l1.rows, inverse_rational(l2.rows))]
 
     a = EtaleAlgebra(CUBIC)
     l = zeta_lattice(CUBIC, 0, a)
@@ -538,7 +537,7 @@ def test_kappa_search_nontrivial_generator():
     l = IdealLattice(a, [[1, 1], [-1, 1]])
     k = colon_and_kappa_search(l, u, 5)
     assert k is not None
-    assert element_lattice([k * b for b in u.basis_elements()]) == l
+    assert u.scaled(k) == l
 
 
 def test_kappa_search_inconclusive():
@@ -608,7 +607,7 @@ def first_hit(l1, l2, bound):
                                for j in range(a.n)], col.denominator)
         if abs(trace_and_norm(kappa)[1]) != want:
             continue
-        if element_lattice([kappa * b for b in l2.basis_elements()]) == l1:
+        if l2.scaled(kappa) == l1:
             if next(c for c in kappa.coords if c) < 0:
                 kappa = -kappa
             return z, kappa
