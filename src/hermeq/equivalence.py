@@ -6,10 +6,10 @@
 #
 # Z-equivalence is decided outright.  GL2 witnesses for a fixed shared-root
 # embedding come from a small linear system; the partition routine applies it
-# once to each pair of a list of root expressions.  Hermite witnesses are
-# certified through the invariant-lattice criterion: a root beta of g in K_f
-# whose power lattice equals the power lattice of alpha yields a unimodular
-# change of basis carrying one form to the other.
+# from the least member of each class of a list of root expressions.  Hermite
+# witnesses are certified through the invariant-lattice criterion: a root
+# beta of g in K_f whose power lattice equals the power lattice of alpha
+# yields a unimodular change of basis carrying one form to the other.
 
 from math import gcd
 
@@ -184,34 +184,44 @@ def gl2_witness_solve(f, beta):
     return gamma and Gl2Witness(gamma, _witness_sign(f, gamma))
 
 
-def _power_basis(alg, beta):
-    # (P, P^-1) if the powers of beta are a Z-basis of the lattice the
-    # powers of alpha span, else None: the power matrix P is integral and
-    # its HNF is the identity, that is det(P) = +-1, and then
-    # P^-1 = adj(P) / det(P) = det(P) adj(P).  det(P) mod the prime 2^31 - 1
-    # refuses most other beta before the adjugate, of growing entries
+def _power_matrix(alg, beta):
+    # the power matrix P of beta (rows beta^0, ..., beta^(n-1) over the
+    # powers of alpha) if those powers are a Z-basis of the lattice the
+    # powers of alpha span, else None: P is integral and its HNF is the
+    # identity, that is det(P) = +-1.  det(P) mod the prime 2^31 - 1 refuses
+    # most other beta before the exact Bareiss determinant, of growing entries
     p, d = product_rows(alg.one(), beta)
-    if d != 1 or det_mod(p, 2 ** 31 - 1) not in (1, 2 ** 31 - 2):
+    if d != 1 or det_mod(p, 2 ** 31 - 1) not in (1, 2 ** 31 - 2) \
+            or not is_unimodular(p):
         return None
-    det, adj = adjugate_solve(p, identity(alg.n))
-    if det not in (1, -1):
-        return None
-    return p, [[det * x for x in r] for r in adj]
+    return p
+
+
+def _generator(alg, b):
+    # (beta, P) for beta = b_2 alpha + ... + b_n alpha^(n-1); a
+    # PreconditionError unless the powers of beta span Z[alpha]
+    beta = alg.element([0] + b)
+    p = _power_matrix(alg, beta)
+    if p is None:
+        raise PreconditionError("powers of beta do not span Z[alpha]")
+    return beta, p
+
+
+def _unimodular_inverse(p):
+    # P^-1 = adj(P) / det(P) = det(P) adj(P) for det(P) = +-1
+    det, adj = adjugate_solve(p, identity(len(p)))
+    return [[det * x for x in r] for r in adj]
 
 
 class _BetaContext:
-    # per-vector data reused across all pair tests in a partition run: the
-    # minimal polynomial X^n - sum c_k X^k, c = (beta^n row) P^-1, and P^-1
-    # less its first row and column, taking (b_2, ..., b_n) to coordinates
-    # in the powers of beta past the constant one
+    # the data of the pair tests from one generator beta with power matrix
+    # P: the minimal polynomial X^n - sum c_k X^k, c = (beta^n row) P^-1,
+    # and P^-1 less its first row and column, taking (b_2, ..., b_n) to
+    # coordinates in the powers of beta past the constant one
     __slots__ = ("pinv", "minpoly")
 
-    def __init__(self, alg, b):
-        beta = alg.element([0] + b)
-        basis = _power_basis(alg, beta)
-        if basis is None:
-            raise PreconditionError("powers of beta do not span Z[alpha]")
-        p, pinv = basis
+    def __init__(self, alg, beta, p):
+        pinv = _unimodular_inverse(p)
         # beta is integral (row 1 of P) and f monic: beta^n has no denominator
         top = (alg.element(p[-1]) * beta).num
         self.minpoly = [-c for c in mat_mul([list(top)], pinv)[0]] + [1]
@@ -239,7 +249,8 @@ def gl2_pair_test(f, beta_i, beta_j):
     if leading(f) != 1:
         raise DomainError("pair test needs a monic polynomial")
     n = degree(f)
-    ctx = _BetaContext(EtaleAlgebra(f), _vector(n, beta_i, "beta"))
+    alg = EtaleAlgebra(f)
+    ctx = _BetaContext(alg, *_generator(alg, _vector(n, beta_i, "beta")))
     w = mat_mul([_vector(n, beta_j, "target")], ctx.pinv)[0]
     return gl2_witness_solve(ctx.minpoly, w) if any(w) else None
 
@@ -248,15 +259,19 @@ def partition_gl2(f, betas):
     """Classes of indices under pairwise GL2(Z)-relatedness of the betas,
     each (b_2, ..., b_n) as in gl2_pair_test.
 
-    Each unordered pair is tested once, from the lower index i: beta_j in
-    the powers of beta_i (one product for all j > i), less its constant
-    coordinate w_0, against the minimal polynomial of beta_i.  The test is
+    Every beta is first tested, in index order, for generating Z[alpha]
+    (a PreconditionError if one does not).  A pair test from beta_i
+    rewrites beta_j in the powers of beta_i, less its constant coordinate
+    w_0, and solves against the minimal polynomial of beta_i.  The test is
     complete: beta_j - w_0 = (a beta_i + b)/(c beta_i + d), ad - bc = +-1,
     puts (c, d) in the kernel of rows that all vanish only if beta_j = w_0,
     not a generator; so (c, d) is t times the primitive kernel vector,
     ad - bc is t^2 times a fixed integer and t = +-1, the two candidates.
-    The relation is symmetric (gamma^-1 is a gamma), so the reverse test
-    says the same.  Classes are closed transitively and come back sorted.
+    Relatedness is an equivalence (gamma^-1 and gamma gamma' are again
+    witnesses), so a row of tests runs only from the least index i of each
+    class, against the j > i not yet in a class, with one P^-1 for all of
+    them: a later member's answers are those of its class minimum.
+    Classes come back sorted.
     """
     f = normalize(f)
     if leading(f) != 1:
@@ -264,25 +279,19 @@ def partition_gl2(f, betas):
     n = degree(f)
     vecs = [_vector(n, b, "beta at index %d" % i) for i, b in enumerate(betas)]
     alg = EtaleAlgebra(f)
-    ctxs = [_BetaContext(alg, b) for b in vecs]
-    parent = list(range(len(vecs)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(len(vecs) - 1):
-        minpoly = ctxs[i].minpoly
-        for j, w in enumerate(mat_mul(vecs[i + 1:], ctxs[i].pinv), i + 1):
-            ri, rj = find(i), find(j)
-            if ri != rj and _gl2_gamma(minpoly, w) is not None:
-                parent[max(ri, rj)] = min(ri, rj)
+    gens = [_generator(alg, b) for b in vecs]
+    root = list(range(len(vecs)))  # the class minimum of each index
+    for i, gen in enumerate(gens):
+        rest = [j for j in range(i + 1, len(vecs)) if root[j] == j]
+        if root[i] == i and rest:
+            ctx = _BetaContext(alg, *gen)
+            for j, w in zip(rest, mat_mul([vecs[j] for j in rest], ctx.pinv)):
+                if _gl2_gamma(ctx.minpoly, w) is not None:
+                    root[j] = i
     classes = {}
-    for i in range(len(vecs)):
-        classes.setdefault(find(i), []).append(i)
-    return sorted(sorted(c) for c in classes.values())
+    for i, r in enumerate(root):
+        classes.setdefault(r, []).append(i)
+    return list(classes.values())
 
 
 def hermite_witness_check(f, g, expr):
@@ -308,8 +317,7 @@ def hermite_witness_check(f, g, expr):
     if poly_eval(g, beta) != 0:
         raise NotARootError("expression is not a root of the target")
     # I_f(n-1) has the identity basis, so the change of basis is P itself
-    basis = _power_basis(alg, beta)
-    return None if basis is None else basis[0]
+    return _power_matrix(alg, beta)
 
 
 def reducible_pair(f):

@@ -6,8 +6,9 @@ import sympy
 
 from hermeq.equivalence import (ContentMismatchError, DegenerateSystemError,
                                 DegreeDropError, NotARootError,
-                                PreconditionError, _BetaContext,
-                                _pair_kernel, _power_basis, _solve_33, gl2_act,
+                                PreconditionError, _BetaContext, _generator,
+                                _pair_kernel, _power_matrix, _solve_33,
+                                _unimodular_inverse, gl2_act,
                                 gl2_pair_test, gl2_witness_solve,
                                 hermite_witness_check, partition_gl2,
                                 reducible_pair, z_equiv_test)
@@ -38,7 +39,8 @@ def power_matrix(beta):
 
 def minpoly(beta):
     # the characteristic polynomial of beta, as the pair tests use it
-    return _BetaContext(EtaleAlgebra(QUARTIC), list(beta)).minpoly
+    alg = EtaleAlgebra(QUARTIC)
+    return _BetaContext(alg, *_generator(alg, list(beta))).minpoly
 
 
 def rand_gamma(rng):
@@ -297,14 +299,15 @@ def test_beta_power_matrix_unimodular_for_generators():
 
 def test_power_basis_test():
     # None for fractional powers, a singular power matrix and a
-    # non-unimodular one; (P, P^-1) for a generator
+    # non-unimodular one; P for a generator, and P^-1 from it
     a = EtaleAlgebra([1, 1, 2])  # alpha^2 = (-1 - alpha) / 2
-    assert _power_basis(a, a.alpha() * a.alpha()) is None
+    assert _power_matrix(a, a.alpha() * a.alpha()) is None
     q = EtaleAlgebra(QUARTIC)
-    assert _power_basis(q, q.zero()) is None
-    assert _power_basis(q, 2 * q.alpha()) is None
+    assert _power_matrix(q, q.zero()) is None
+    assert _power_matrix(q, 2 * q.alpha()) is None
     for b in QUARTIC_BETAS:
-        p, pinv = _power_basis(q, q.from_poly([0] + list(b)))
+        p = _power_matrix(q, q.from_poly([0] + list(b)))
+        pinv = _unimodular_inverse(p)
         assert p == power_matrix(b)
         assert mat_mul(p, pinv) == identity(4)
 
@@ -312,21 +315,22 @@ def test_power_basis_test():
 def test_power_basis_on_hand_cases():
     # det P = -1, a non-integral beta, and two singular betas
     a = EtaleAlgebra([1, 0, 1])  # alpha^2 = -1
-    p, pinv = _power_basis(a, -a.alpha())
+    p = _power_matrix(a, -a.alpha())
     assert p == [[1, 0], [0, -1]] and det_bareiss(p) == -1
-    assert pinv == p
+    assert _unimodular_inverse(p) == p
     q = EtaleAlgebra(QUARTIC)
-    assert _power_basis(q, AlgElement(q, [0, 1, 0, 0], 2)) is None
-    assert _power_basis(q, 3 * q.one()) is None
+    assert _power_matrix(q, AlgElement(q, [0, 1, 0, 0], 2)) is None
+    assert _power_matrix(q, 3 * q.one()) is None
     # alpha^2 - alpha - 2 is -2 at both roots 0 and 1 of X^3 - X, so its
     # powers span only a plane
     r = EtaleAlgebra([0, -1, 0, 1])
-    assert _power_basis(r, r.from_poly([-2, -1, 1])) is None
+    assert _power_matrix(r, r.from_poly([-2, -1, 1])) is None
 
 
 def test_power_basis_matches_the_hnf_definition():
     # the powers of beta are a Z-basis of Z[alpha] when the power matrix P
-    # is integral with HNF the identity; then _power_basis gives (P, P^-1)
+    # is integral with HNF the identity; then _power_matrix gives P, and
+    # _unimodular_inverse its inverse
     rng = random.Random(77)
     seen = {"+1": 0, "-1": 0, "fractional": 0, "other": 0}
     for g in ([1, 0, 1], [-1, -1, 0, 1], QUARTIC, [1, 1, 2], [3, 0, -1, 2],
@@ -336,11 +340,11 @@ def test_power_basis_matches_the_hnf_definition():
         for _ in range(40):
             beta = a.from_poly([rng.randint(-2, 2) for _ in range(n)])
             p, d = product_rows(a.one(), beta)
-            basis = _power_basis(a, beta)
+            basis = _power_matrix(a, beta)
             if d == 1 and hnf_lattice(p)[0] == identity(n):
                 assert basis is not None, (g, beta)
-                assert basis[0] == p
-                assert mat_mul(p, basis[1]) == identity(n)
+                assert basis == p
+                assert mat_mul(p, _unimodular_inverse(basis)) == identity(n)
                 seen["+1" if det_bareiss(p) == 1 else "-1"] += 1
             else:
                 assert basis is None, (g, beta)
@@ -445,7 +449,7 @@ def seeded_orbit(rng, n):
     bases = [alg.alpha()]
     for _ in range(400):
         beta = alg.element([0] + [rng.randint(-2, 2) for _ in range(n - 1)])
-        if _power_basis(alg, beta) is not None and beta != alg.alpha():
+        if _power_matrix(alg, beta) is not None and beta != alg.alpha():
             bases.append(beta)
             break
     rows = [(list(img.num[1:]), k, gamma)
@@ -472,7 +476,8 @@ def test_minpoly_from_the_inverse_power_basis_matches_charpoly():
         alg = EtaleAlgebra(f)
         beta = alg.element([0] + list(b))
         want = charpoly(product_rows(beta, alg.alpha())[0])
-        assert _BetaContext(alg, list(b)).minpoly == want, (f, b)
+        assert _BetaContext(alg, *_generator(alg, list(b))).minpoly == want, \
+            (f, b)
 
 
 @pytest.mark.parametrize("name", TABLES)
@@ -524,6 +529,120 @@ def test_partition_keeps_each_refusal_type():
         with pytest.raises(DomainError) as exc:
             partition_gl2(f, betas)
         assert type(exc.value) is kind, (f, betas, exc.value)
+
+
+
+def counting_calls(monkeypatch, module, name, calls):
+    # rebind module.name to a wrapper that appends its arguments to calls
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+# the pair tests (_gl2_gamma calls) and P^-1 solves (adjugate_solve calls)
+# of one partition of each table, when a row runs only from a class minimum
+TABLE_WORK = {"table1": (17, 3), "table2": (181, 10), "table3": (237, 11)}
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_partition_runs_rows_only_from_class_minima(name, monkeypatch):
+    import hermeq.equivalence as eq
+    pairs, solves = [], []
+    counting_calls(monkeypatch, eq, "_gl2_gamma", pairs)
+    counting_calls(monkeypatch, eq, "adjugate_solve", solves)
+    table = load_table(name)
+    classes = partition_gl2(table["minpoly"], table["betas"])
+    most_pairs, most_solves = TABLE_WORK[name]
+    assert len(pairs) <= most_pairs
+    assert len(solves) <= min(most_solves, len(classes))
+
+
+def shuffled_partitions(rng, f, betas, times):
+    # (perm, classes) of `times` seeded shuffles of the betas; each
+    # partition against the two-way oracle on the same order
+    for _ in range(times):
+        perm = list(range(len(betas)))
+        rng.shuffle(perm)
+        shuffled = [betas[p] for p in perm]
+        classes = partition_gl2(f, shuffled)
+        assert classes == partition_two_way(f, shuffled), (f, shuffled)
+        yield perm, classes
+
+
+def late_minimum(classes):
+    # some class minimum comes after a non-minimal member of another class
+    return any(c[0] > d[1] for c in classes for d in classes if len(d) > 1)
+
+
+@pytest.mark.parametrize("name", ("table2", "table3"))
+def test_partition_of_a_shuffled_table_maps_back(name):
+    # which betas get a row depends on the index order; a shuffle moves
+    # the class minima, and the classes must follow the betas
+    table = load_table(name)
+    f, betas = table["minpoly"], table["betas"]
+    want = partition_gl2(f, betas)
+    late = 0
+    for perm, classes in shuffled_partitions(random.Random(81), f, betas, 3):
+        assert sorted(sorted(perm[i] for i in c) for c in classes) == want
+        late += late_minimum(classes)
+    assert late
+
+
+def test_partition_of_shuffled_orbits_with_late_class_minima():
+    # seeded orbits of more than one class (the second generator not
+    # related to alpha), each shuffled three more times
+    rng = random.Random(82)
+    orbits = 0
+    late = 0
+    for n in (3, 4, 5, 6) * 8:
+        f, betas, _, _ = seeded_orbit(rng, n)
+        want = partition_gl2(f, betas)
+        if len(want) == 1:
+            continue
+        orbits += 1
+        for perm, classes in shuffled_partitions(rng, f, betas, 3):
+            assert sorted(sorted(perm[i] for i in c) for c in classes) == want
+            late += late_minimum(classes)
+        if orbits == 4:
+            break
+    assert orbits == 4 and late >= 6, (orbits, late)
+
+
+def test_partition_refuses_a_non_generator_before_any_pair_test(monkeypatch):
+    # every beta is tested for generating Z[alpha] before the first row, so
+    # a non-generator first, right after the minimum 0 of the class
+    # [0, 4, 7], in the middle or last is refused alike, with no pair test
+    import hermeq.equivalence as eq
+    pairs = []
+    counting_calls(monkeypatch, eq, "_gl2_gamma", pairs)
+    for bad in ((2, 0, 0), (0, 0, 0)):
+        for at in (0, 1, 5, len(QUARTIC_BETAS)):
+            betas = QUARTIC_BETAS[:at] + [bad] + QUARTIC_BETAS[at:]
+            with pytest.raises(DomainError) as exc:
+                partition_gl2(QUARTIC, betas)
+            assert type(exc.value) is PreconditionError, (bad, at)
+            assert "do not span" in str(exc.value)
+    assert pairs == []
+
+
+def test_hermite_witness_check_forms_no_inverse(monkeypatch):
+    # the check returns P and needs only det(P) = +-1: no adjugate, on an
+    # affirmative case or on a negative one
+    import hermeq.algebra as algebra
+    import hermeq.equivalence as eq
+    import hermeq.intmat as intmat
+    solves = []
+    for module in (algebra, eq, intmat):
+        counting_calls(monkeypatch, module, "adjugate_solve", solves)
+    assert hermite_witness_check(QUARTIC, QUARTIC, [0, 1]) == identity(4)
+    u = hermite_witness_check(QUARTIC, _translate(QUARTIC, 1, 1), [-1, 1])
+    assert u is not None and det_bareiss(u) == 1
+    assert hermite_witness_check([1, 0, 1], [4, 0, 1], [0, 2]) is None
+    assert solves == []
 
 
 def test_hermite_witness_identity():
