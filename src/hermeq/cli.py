@@ -125,8 +125,7 @@ def _cmd_partition(args):
 
 
 def _cmd_reducible_pair(args):
-    g, h, q = reducible_pair(_poly_arg(args.poly))
-    u = hermite_witness_check(g, h, q)
+    g, h, q, u = reducible_pair(_poly_arg(args.poly))
     return 0, {"g": poly_to_json(g), "h": poly_to_json(h),
                "expr": poly_to_json(q), "witness": matrix_to_json(u)}
 
@@ -322,8 +321,7 @@ def _build_parser():
 
 def _write_manifest(args, argv, payload, start):
     import platform
-    # the battery draws from fixed seeds; the factoring behind other
-    # commands is seeded by the number it factors, an input
+    # the battery draws from fixed seeds; no other command draws at random
     seeds = SEEDS if args.command == "reproduce-all" else None
     manifest = {
         "command": args.command,

@@ -130,20 +130,21 @@ def _solve_33(f, b):
     #   alpha^j (2<=j<=n-1):  c (b_j - b_n a_{n-j}) + d b_{j+1} = 0
     #   alpha^1:              a  = d b_2 - c b_n a_{n-1}
     #   constant:             b' = -c b_n a_n
-    # with a_{n-j} = f[j], b_j = b[j-2].  Both signs of the primitive kernel
-    # vector give the same ad - b'c
+    # with a_{n-j} = f[j], b_j = b[j-2].  The candidate (a, b', c, d), or
+    # None; its negation satisfies the negated relation, which holds
+    # exactly when this one does
     n = degree(f)
     if n < 3:
         raise DomainError("witness system needs degree >= 3")
     bn = b[-1]
     ker = _pair_kernel([x - bn * a for x, a in zip(b, f[2:n])], b[1:])
     if ker is None:
-        return []
+        return None
     c, d = ker
     a, bb = d * b[0] - c * bn * f[1], -c * bn * f[0]
     if a * d - bb * c not in (1, -1):
-        return []
-    return [(a, bb, c, d), (-a, -bb, -c, -d)]
+        return None
+    return a, bb, c, d
 
 
 def _witness_sign(f, gamma):
@@ -156,13 +157,14 @@ def _witness_sign(f, gamma):
 
 
 def _gl2_gamma(f, b):
-    # the first gamma of _solve_33 with (c Y + d) beta(Y) == a Y + b' modulo
-    # f, beta(Y) = sum b_j Y^(j-1), or None
-    for a, bb, c, d in _solve_33(f, b):
-        _, rem = poly_divmod_exact(poly_mul([d, c], [0] + list(b)), f)
-        if normalize(rem) == normalize([bb, a]):
-            return [[a, bb], [c, d]]
-    return None
+    # the gamma of _solve_33 if (c Y + d) beta(Y) == a Y + b' modulo f,
+    # beta(Y) = sum b_j Y^(j-1), else None; the division is the certificate
+    sol = _solve_33(f, b)
+    if sol is None:
+        return None
+    a, bb, c, d = sol
+    _, rem = poly_divmod_exact(poly_mul([d, c], [0] + list(b)), f)
+    return [[a, bb], [c, d]] if normalize(rem) == normalize([bb, a]) else None
 
 
 def gl2_witness_solve(f, beta):
@@ -323,10 +325,11 @@ def hermite_witness_check(f, g, expr):
 def reducible_pair(f):
     """A Hermite-equivalent reducible pair built from a monic f with f(0)=1.
 
-    Returns (g, h, q) with g = X f(X), h = X^(n+1) f(1/X), and q a witness
-    polynomial: q sends the root class of g to a root of h, and the witness
-    check certifies the equivalence.  q(X) = X r(X) where r(X) expresses
-    alpha^(-2) integrally (alpha is a unit of Z[alpha] because f(0) = 1).
+    Returns (g, h, q, u) with g = X f(X), h = X^(n+1) f(1/X), q a witness
+    polynomial and u the unimodular witness hermite_witness_check(g, h, q)
+    certifying the equivalence: q sends the root class of g to a root of h.
+    q(X) = X r(X) where r(X) expresses alpha^(-2) integrally (alpha is a
+    unit of Z[alpha] because f(0) = 1).
     """
     f = normalize(f)
     n = degree(f)
@@ -347,4 +350,4 @@ def reducible_pair(f):
     u = hermite_witness_check(g, h, q)
     if u is None:
         raise AssertionError("constructed witness failed the lattice check")
-    return g, h, q
+    return g, h, q, u

@@ -16,7 +16,7 @@ from .intpoly import (DomainError, constant_term, degree, discriminant,
                       leading, normalize, poly_add, poly_compose, poly_eval,
                       poly_mul, poly_scale, poly_shift, poly_sub,
                       roots_mod_p)
-from .primes import is_prime, mod_inverse, primes_in_progression
+from .primes import is_prime, primes_in_progression
 
 
 class SearchLimitError(DomainError):
@@ -234,7 +234,7 @@ class FamilyParams:
                 raise DomainError("c must be 1 or a prime = 1 mod n p")
         if not is_prime(t):
             raise DomainError("t must be prime")
-        if t % p != (-mod_inverse(catalan(n - 1), p)) % p:
+        if t % p != (-pow(catalan(n - 1), -1, p)) % p:
             raise DomainError("t has the wrong residue mod p")
         if t == c:
             raise DomainError("t must differ from c")
@@ -272,7 +272,7 @@ def find_params(n, search_limit=10 ** 6, monic=False):
             if q != 1:
                 c = q
                 break
-    resid = (-mod_inverse(cat, p)) % p
+    resid = (-pow(cat, -1, p)) % p
     t = None
     for q in primes_in_progression(resid, p):
         if q > search_limit:

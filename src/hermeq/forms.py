@@ -12,7 +12,7 @@
 from math import comb
 
 from .intmat import det_bareiss, is_unimodular, mat_dims
-from .intpoly import (DomainError, degree, discriminant, normalize,
+from .intpoly import (DomainError, content, degree, discriminant, normalize,
                       poly_mul, poly_pow, scaled_power_sums)
 
 
@@ -173,14 +173,8 @@ def hermite_form(f):
 
 
 def form_content(F):
-    from math import gcd
-
-    if not F.terms:
-        raise DomainError("content of the zero form is undefined")
-    g = 0
-    for c in F.terms.values():
-        g = gcd(g, c)
-    return g
+    """Positive gcd of the coefficients of a nonzero form."""
+    return content(list(F.terms.values()))
 
 
 def act_gln(F, u):

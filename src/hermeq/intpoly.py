@@ -149,17 +149,9 @@ def poly_divmod_exact(a, b):
     return normalize(q), normalize(r)
 
 
-def reverse(p, n=None):
-    """X^n * p(1/X) for n >= deg p (defaults to deg p)."""
-    p = normalize(p)
-    if n is None:
-        n = degree(p)
-    if n < degree(p):
-        raise DomainError("reversal degree below polynomial degree")
-    out = [0] * (n + 1)
-    for i, c in enumerate(p):
-        out[n - i] = c
-    return normalize(out)
+def reverse(p):
+    """X^deg(p) * p(1/X)."""
+    return normalize(normalize(p)[::-1])
 
 
 def sylvester_matrix(p, q):

@@ -1,4 +1,6 @@
-# Deterministic primality and small modular helpers.
+# Deterministic primality and squarefree tests.
+
+from math import isqrt
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -47,80 +49,31 @@ def next_prime(n):
     return k
 
 
-def primes_in_progression(residue, modulus, start=2):
-    """Yield primes p >= start with p = residue (mod modulus), ascending."""
-    p = start - 1
+def primes_in_progression(residue, modulus):
+    """Yield the primes p = residue (mod modulus), ascending."""
+    p = 1
     while True:
         p = next_prime(p)
         if p % modulus == residue % modulus:
             yield p
 
 
-def mod_inverse(a, m):
-    return pow(a, -1, m)
+def is_squarefree(n):
+    """True when no prime square divides n; rejects 0.
 
-
-def _pollard_rho(n):
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
-    from math import gcd
-    from random import Random
-
-    rng = Random(n)
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def factorize(n):
-    """Prime factorization of |n| as a sorted dict prime -> exponent.
-
-    Trial division by the small primes, then Pollard rho on what is left.
-    n = 0 is rejected; the unit sign is dropped.
+    Trial division by d = 2, 3, ... while d^3 is at most what is left of
+    |n|, so about |n|^(1/3) divisions.  The cofactor m left then has no
+    prime factor below m^(1/3): it is 1, a prime, a product of two
+    distinct primes or a prime square, and only the last is a square.
     """
-    n = abs(n)
     if n == 0:
         raise ValueError("zero has no factorization")
-    out = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return dict(sorted(out.items()))
-
-
-def is_squarefree(n):
-    """True when no prime square divides n; rejects 0."""
-    return all(e == 1 for e in factorize(n).values())
+    m = abs(n)
+    d = 2
+    while d * d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return False
+        d += 1
+    return m == 1 or isqrt(m) ** 2 != m

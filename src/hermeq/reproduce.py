@@ -44,23 +44,23 @@ SEEDS = {"corpus": 20101, "gl2_transfer": 20103, "ideal_laws": 20104,
          "norm_form_theorem": 20105, "cross_equivalence": 20115}
 
 
-def corpus_polys(count=200, seed=SEEDS["corpus"], lo=2, hi=5, height=20):
-    """The shared randomized corpus: ascending coefficients, exact degree
-    between lo and hi, all coefficients bounded by height."""
-    rng = random.Random(seed)
+def corpus_polys():
+    """The shared randomized corpus: 200 polynomials, ascending
+    coefficients, exact degree 2 to 5, coefficients between -20 and 20."""
+    rng = random.Random(SEEDS["corpus"])
     out = []
-    while len(out) < count:
-        n = rng.randint(lo, hi)
-        f = [rng.randint(-height, height) for _ in range(n + 1)]
+    while len(out) < 200:
+        n = rng.randint(2, 5)
+        f = [rng.randint(-20, 20) for _ in range(n + 1)]
         if f[-1] == 0:
             continue
         out.append(f)
     return out
 
 
-def _rand_gl2(rng, steps=4):
+def _rand_gl2(rng):
     m = [[1, 0], [0, 1]]
-    for _ in range(steps):
+    for _ in range(4):
         kind = rng.randrange(3)
         s = rng.randint(-2, 2)
         if kind == 0:
@@ -127,10 +127,10 @@ def check_gl2_transfer():
                 "antihomomorphism_pairs": anti}
 
 
-def _ideal_corpus(seed, count=50):
+def _ideal_corpus(seed):
     rng = random.Random(seed)
     out = []
-    while len(out) < count:
+    while len(out) < 50:
         n = rng.randint(2, 5)
         f = [rng.randint(-20, 20) for _ in range(n + 1)]
         if f[-1] == 0 or content(f) != 1 or discriminant(f) == 0:
@@ -379,12 +379,11 @@ def check_parametric_pairs():
 def check_reducible_pairs():
     detail = {}
     try:
-        g, h, q = reducible_pair([1, -1, 0, 1])
-        u = hermite_witness_check(g, h, q)
+        g, h, _, u = reducible_pair([1, -1, 0, 1])
         detail["g"] = g
         detail["h"] = h
-        detail["witness_det"] = det_bareiss(u) if u is not None else None
-        ok = u is not None and detail["witness_det"] in (1, -1)
+        detail["witness_det"] = det_bareiss(u)
+        ok = detail["witness_det"] in (1, -1)
     except (PreconditionError, DomainError) as exc:
         return False, {"error": str(exc)}
     try:

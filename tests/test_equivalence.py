@@ -687,19 +687,21 @@ def test_z_equivalent_pairs_pass_hermite_check():
 
 
 def test_reducible_pair_cubic():
-    g, h, q = reducible_pair([1, -1, 0, 1])
+    g, h, q, w = reducible_pair([1, -1, 0, 1])
     assert g == [0, 1, -1, 0, 1]
     assert h == [0, 1, 0, -1, 1]
     u = hermite_witness_check(g, h, q)
     assert u is not None and det_bareiss(u) in (1, -1)
+    assert w == u
 
 
 def test_reducible_pair_quartic():
     f = [1, 1, 0, 0, 1]
-    g, h, q = reducible_pair(f)
+    g, h, q, w = reducible_pair(f)
     assert g[0] == 0 and h[0] == 0
     assert len(g) == len(f) + 1 and len(h) == len(f) + 1
     assert hermite_witness_check(g, h, q) is not None
+    assert w == hermite_witness_check(g, h, q)
 
 
 def test_reducible_pair_rejects_wrong_constant():

@@ -82,9 +82,6 @@ def test_divmod_exact():
 
 def test_reverse():
     assert intpoly.reverse([1, 2, 3]) == [3, 2, 1]
-    assert intpoly.reverse([1, 2], 3) == [0, 0, 2, 1]
-    with pytest.raises(intpoly.DomainError):
-        intpoly.reverse([1, 2, 3], 1)
 
 
 def test_resultant_hand_cases():

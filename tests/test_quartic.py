@@ -6,7 +6,7 @@ import sympy
 from hermeq.algebra import EtaleAlgebra, zeta_lattice
 from hermeq.intmat import mat_mul
 from hermeq.intpoly import DomainError, discriminant
-from hermeq.primes import factorize, is_squarefree
+from hermeq.primes import is_squarefree
 from hermeq.quartic import (A0_DOUBLED, EXAMPLE_F, EXAMPLE_G, EXAMPLE_GAMMA,
                             EXAMPLE_M, QuarticPair, act, iota,
                             principality_evidence, verify_example)
@@ -212,15 +212,31 @@ def test_principality_rejects_bad_input():
 
 
 def test_factorize_and_squarefree():
-    assert factorize(720) == {2: 4, 3: 2, 5: 1}
-    assert factorize(-97) == {97: 1}
-    assert factorize(1) == {}
-    with pytest.raises(ValueError):
-        factorize(0)
     assert is_squarefree(30)
     assert not is_squarefree(12)
     assert is_squarefree(-8124503)
-    # a composite that needs the rho stage
+    # the square of a prime just below the cube root of the product
     big = 1000003 * 1000033
-    assert factorize(big) == {1000003: 1, 1000033: 1}
     assert not is_squarefree(big * 1000003)
+
+
+def test_is_squarefree_matches_factorint():
+    # the trial division stops at the cube root of what is left, so take
+    # prime powers and products around that root: p = 997 and p = 1009 lie
+    # on either side of the cube root of p^2 q for q the other one; 8124503
+    # is the quartic example's discriminant
+    rng = random.Random(20)
+    cases = [1, 2, 3, 4, 8, 9, 8124503]
+    for p, q in ((997, 1009), (1009, 997), (2, 1009), (1009, 2)):
+        cases += [p, p * p, p ** 3, p * q, p * p * q, p * p * q * q,
+                  p * q * 991, p * p * q * 991]
+    cases += [rng.randrange(1, 10 ** 9) for _ in range(300)]
+    cases += [rng.randrange(2, 1000) ** 2 * rng.randrange(1, 10 ** 4)
+              for _ in range(200)]
+    cases += [k ** 3 for k in range(2, 200)]
+    for n in cases:
+        expect = all(e == 1 for e in sympy.factorint(n).values())
+        assert is_squarefree(n) == expect, n
+        assert is_squarefree(-n) == expect, -n
+    with pytest.raises(ValueError):
+        is_squarefree(0)

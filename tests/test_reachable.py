@@ -136,3 +136,20 @@ def test_no_module_has_an_unused_import():
                    for name, line in sorted(bound.items())
                    if name not in read]
     assert not unused, unused
+
+
+def test_only_the_battery_draws_at_random():
+    # no command but reproduce-all makes a random draw, so a run manifest
+    # records seeds for the battery alone
+    importers = []
+    for fn, tree in _trees(SRC):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "random" for name in names):
+                importers.append(fn)
+    assert importers == ["reproduce.py"], importers
