@@ -7,7 +7,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .forms import DecomposableForm, check_form_size, laplace_minors
 from .intmat import (adjugate_solve, det_bareiss, hnf_lattice, identity,
@@ -265,8 +265,9 @@ class IdealLattice:
         return IdealLattice(self.algebra,
                             *_rows([kappa * b for b in self.basis_elements()]))
 
-    def det_basis(self):
-        return Fraction(det_bareiss(self.rows),
+    def covolume(self):
+        # |det| of any basis: the stored HNF is triangular, pivots positive
+        return Fraction(prod(row[i] for i, row in enumerate(self.hnf)),
                         self.denominator ** self.algebra.n)
 
     def contains(self, x):
@@ -322,7 +323,7 @@ def _same_algebra(l1, l2):
 def lattice_norm(l, o):
     """|det| of the base change from a basis of o to a basis of l."""
     _same_algebra(l, o)
-    return abs(l.det_basis() / o.det_basis())
+    return l.covolume() / o.covolume()
 
 
 def lattice_mul(l1, l2):
@@ -412,7 +413,7 @@ def _integer_norm_form(algebra, rows):
     g = gcd(s, *(x for line in sym for entry in line for x in entry))
     if g > 1:
         sym = [[[x // g for x in entry] for entry in line] for line in sym]
-    return laplace_minors(sym, n, lambda cols: 1), s // g
+    return laplace_minors(sym, n), s // g
 
 
 def norm_form(l, o):
@@ -602,7 +603,7 @@ def colon_and_kappa_search(l1, l2, bound=50):
     n = a.n
     if l1 == l2:
         return a.one()
-    ratio = abs(l1.det_basis() / l2.det_basis())
+    ratio = l1.covolume() / l2.covolume()
     p = _int_nth_root(ratio.numerator, n)
     q = _int_nth_root(ratio.denominator, n)
     if p is not None and q is not None:

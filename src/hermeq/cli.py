@@ -25,10 +25,10 @@ from .family import (FamilyParams, build_kit, find_params,
                      generate_certified_pair, verify_kit_identities)
 from .forms import check_form_size, hermite_form
 from .intpoly import DomainError, degree, discriminant
-from .jsonio import (canonical_dumps, element_to_json, form_to_json,
-                     int_list_from_json, int_to_str, lattice_to_json,
-                     load_table, matrix_to_json, pair_to_json,
-                     poly_from_json, poly_to_json, read_int)
+from .jsonio import (MAX_INPUT_DEGREE, canonical_dumps, element_to_json,
+                     form_to_json, int_list_from_json, int_to_str,
+                     lattice_to_json, load_table, matrix_to_json,
+                     pair_to_json, poly_from_json, poly_to_json, read_int)
 from .quartic import iota, principality_evidence, verify_example
 from .reproduce import SEEDS, reproduce_all
 
@@ -130,8 +130,15 @@ def _cmd_reducible_pair(args):
                "expr": poly_to_json(q), "witness": matrix_to_json(u)}
 
 
+def _family_degree(n):
+    if n > MAX_INPUT_DEGREE:  # refused before any work
+        raise DomainError("family degree %d is over the cap MAX_INPUT_DEGREE"
+                          " = %d" % (n, MAX_INPUT_DEGREE))
+    return n
+
+
 def _cmd_family_kit(args):
-    kit = build_kit(args.n)
+    kit = build_kit(_family_degree(args.n))
     return 0, {"n": args.n, "a": poly_to_json(kit.a),
                "b": poly_to_json(kit.b), "h": poly_to_json(kit.h),
                "k": poly_to_json(kit.k),
@@ -139,11 +146,12 @@ def _cmd_family_kit(args):
 
 
 def _cmd_family_find_params(args):
-    params = find_params(args.n, monic=args.monic)
+    params = find_params(_family_degree(args.n), monic=args.monic)
     return 0, {"n": params.n, "p": params.p, "c": params.c, "t": params.t}
 
 
 def _cmd_family_gen(args):
+    _family_degree(args.n)
     if (args.c is None) != (args.t is None):
         raise DomainError("give both --c and --t, or neither")
     if args.c is None:

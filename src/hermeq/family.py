@@ -251,16 +251,12 @@ def find_params(n, search_limit=10 ** 6, monic=False):
         raise DomainError("family needs n >= 4")
     cat = catalan(n - 1)
     knext = build_kit(n + 1).k
-    p = None
-    cand = cat
-    while True:
-        cand += 1
-        if cand > search_limit:
-            raise SearchLimitError(
-                "no usable p below %d (last tried %d)" % (search_limit, cand - 1))
-        if is_prime(cand) and not roots_mod_p(knext, cand):
-            p = cand
+    for p in range(cat + 1, search_limit + 1):
+        if is_prime(p) and not roots_mod_p(knext, p):
             break
+    else:  # every p in the range tried, or the range is empty
+        raise SearchLimitError("no usable p with C_%d = %d < p <= %d"
+                               % (n - 1, cat, search_limit))
     if monic:
         c = 1
     else:

@@ -13,7 +13,7 @@ from math import comb
 
 from .intmat import det_bareiss, is_unimodular, mat_dims
 from .intpoly import (DomainError, content, degree, discriminant, normalize,
-                      poly_mul, poly_pow, scaled_power_sums)
+                      poly_mul, poly_pow, scaled_power_sums, sylvester_matrix)
 
 
 class DecomposableForm:
@@ -80,26 +80,47 @@ def unpack_exponents(key, nvars, base):
     return tuple(e)
 
 
-def laplace_minors(rows, nvars, weight):
-    """Sum over column sets S of weight(S) * minor(rows on S), expanded.
+def _mul_add(acc, poly, lin, scale):
+    # acc += scale * lin * poly, returning acc: polynomials are packed-
+    # exponent dicts, lin is (step, coefficient) pairs, step a variable's key
+    get = acc.get
+    for step, x in lin:
+        x *= scale
+        for key, coef in poly.items():
+            key += step
+            acc[key] = get(key, 0) + x * coef
+    return acc
 
-    Each entry of rows is None (zero) or a linear form, a sequence of nvars
-    integer coefficients.  A column set S is a bitmask over the columns
-    with len(rows) bits set; weight(S) is an integer, asked once per S.
-    Returns the sum as a dict from exponent tuples to nonzero coefficients.
 
-    The minors are built one row at a time in a dict keyed by column
-    bitmask: expanding along row r, the minor on S gains a[r][c] * (minor
-    of the rows above on S - c) with the sign (-1)^(members of S above c).
-    A polynomial is a dict keyed by the packed exponent sum e_i * b^i with
-    b = len(rows) + 1, which no exponent reaches, so multiplying by a
-    variable adds b^i to a key.  The minors of the last row are never
-    stored: each is weighted and folded into the sum as it arises.
+def laplace_minors(rows, nvars):
+    """The determinant of a square matrix whose leading rows are linear.
+
+    Each entry of the leading rows is 0, None or a linear form, a sequence
+    of nvars integer coefficients; the remaining rows hold integers.  The
+    expanded determinant is a dict from exponent tuples to coefficients.
+
+    Generalized Laplace along the k linear rows: the determinant is the sum
+    over k-sets S of columns of the minor of the linear rows on S times the
+    complementary minor, the integer rows on the columns outside S (Bareiss,
+    once per S), signed by (-1)^(0 + ... + k-1 + sum of S).  The minors
+    are built one row at a time in a dict keyed by column bitmask:
+    expanding along row r, the minor on S gains a[r][c] * (minor of the
+    rows above on S - c) with the sign (-1)^(members of S above c).  A
+    polynomial is a dict keyed by the packed exponent sum e_i * b^i with
+    b = k + 1, which no exponent reaches, so multiplying by a variable adds
+    b^i to a key.  The minors of the last linear row are never stored:
+    each is weighted and folded into the sum as it arises.
     """
-    b = len(rows) + 1
-    steps = [[None if a is None else
-              [(b ** i, x) for i, x in enumerate(a) if x] for a in row]
-             for row in rows]
+    size = len(rows)
+    k = max((r + 1 for r, row in enumerate(rows)
+             if not all(isinstance(a, int) for a in row)), default=0)
+    ints = rows[k:]
+    if not k:
+        d = det_bareiss(ints)
+        return {(0,) * nvars: d} if d else {}
+    b = k + 1
+    steps = [[[(b ** i, x) for i, x in enumerate(a or ()) if x] for a in row]
+             for row in rows[:k]]
     level = {0: {0: 1}}
     for row in steps[:-1]:
         nxt = {}
@@ -108,18 +129,12 @@ def laplace_minors(rows, nvars, weight):
                 if not lin or mask >> c & 1:
                     continue
                 sign = -1 if bin(mask >> c).count("1") & 1 else 1
-                acc = nxt.setdefault(mask | 1 << c, {})
-                for step, x in lin:
-                    x *= sign
-                    for key, coef in poly.items():
-                        key += step
-                        acc[key] = acc.get(key, 0) + x * coef
+                _mul_add(nxt.setdefault(mask | 1 << c, {}), poly, lin, sign)
         for poly in nxt.values():
-            for key in [k for k, v in poly.items() if not v]:
+            for key in [key for key, v in poly.items() if not v]:
                 del poly[key]
         level = nxt
-    weights = {}
-    out = {}
+    weights, out = {}, {}
     for mask, poly in level.items():
         for c, lin in enumerate(steps[-1]):
             if not lin or mask >> c & 1:
@@ -127,49 +142,34 @@ def laplace_minors(rows, nvars, weight):
             s = mask | 1 << c
             w = weights.get(s)
             if w is None:
-                w = weights[s] = weight(s)
+                comp = [j for j in range(size) if not s >> j & 1]
+                w = det_bareiss([[row[j] for j in comp] for row in ints])
+                if (k * (k - 1) // 2 + sum(range(size)) - sum(comp)) % 2:
+                    w = -w
+                weights[s] = w
             if not w:
                 continue
             if bin(mask >> c).count("1") & 1:
                 w = -w
-            for step, x in lin:
-                x *= w
-                for key, coef in poly.items():
-                    key += step
-                    out[key] = out.get(key, 0) + x * coef
-    return {unpack_exponents(k, nvars, b): v for k, v in out.items() if v}
+            _mul_add(out, poly, lin, w)
+    return {unpack_exponents(key, nvars, b): v for key, v in out.items() if v}
 
 
 def hermite_form(f):
-    """The decomposable form [f] by symbolic expansion of Res(phi_X, f).
+    """The decomposable form [f] as the determinant Res(phi_X, f).
 
-    The (2n-1)-square Sylvester determinant is expanded by generalized
-    Laplace along its first n rows (the rows holding the variables; row r
-    has X_j at column r+j): laplace_minors gives the sum of their minors,
-    each weighted by its signed complementary integer minor from Bareiss.
-    Exact for any degree up to MAX_FORM_DEGREE.
+    phi_X(Y) = X1 Y^(n-1) + ... + Xn, its coefficients the unit linear
+    forms; laplace_minors expands the (2n-1)-square Sylvester matrix of
+    phi_X and f along its n variable rows.  Exact for any degree up to
+    MAX_FORM_DEGREE.
     """
     f = normalize(f)
     n = degree(f)
     if n < 2:
         raise DomainError("form needs degree >= 2")
     check_form_size(n, f)
-    size = 2 * n - 1
-    fd = list(reversed(f))  # leading coefficient first
-    base_sign = n * (n - 1) // 2  # sum of the expanded row indices
-    variable = [[int(i == j) for i in range(n)] for j in range(n)]
-    rows = [[variable[c - r] if 0 <= c - r < n else None
-             for c in range(size)] for r in range(n)]
-
-    def weight(mask):
-        cols = [c for c in range(size) if mask >> c & 1]
-        comp = [c for c in range(size) if not mask >> c & 1]
-        bottom = [[fd[c - i] if 0 <= c - i <= n else 0 for c in comp]
-                  for i in range(n - 1)]
-        minor = det_bareiss(bottom)
-        return -minor if (sum(cols) + base_sign) % 2 else minor
-
-    return DecomposableForm(n, laplace_minors(rows, n, weight))
+    phi = [[int(i == n - 1 - j) for i in range(n)] for j in range(n)]
+    return DecomposableForm(n, laplace_minors(sylvester_matrix(phi, f), n))
 
 
 def form_content(F):
@@ -194,17 +194,6 @@ def act_gln(F, u):
     b = n + 1
     linear = [[(b ** j, x) for j, x in enumerate(row) if x] for row in u]
 
-    def times(poly, lin):
-        # lin is not empty: u is unimodular, so no L_i is zero
-        (step, x), rest = lin[0], lin[1:]
-        out = {key + step: x * coef for key, coef in poly.items()}
-        get = out.get
-        for step, x in rest:
-            for key, coef in poly.items():
-                key += step
-                out[key] = get(key, 0) + x * coef
-        return out
-
     def sub(terms, i):
         # terms: exponents of X_i, ..., X_(n-1) -> coefficient
         groups = {}
@@ -213,7 +202,7 @@ def act_gln(F, u):
         acc = {}
         for k in range(max(groups), -1, -1):
             if acc:
-                acc = times(acc, linear[i])
+                acc = _mul_add({}, acc, linear[i], 1)
             if k in groups:
                 group = groups[k]
                 inner = sub(group, i + 1) if i + 1 < n else {0: group[()]}

@@ -148,10 +148,11 @@ def parse_table(payload):
 
 
 def load_table(source):
-    """Parse a table fixture from a filesystem path or a packaged name
-    like "table1"; checksum verified either way."""
+    """Parse a table fixture, checksum verified.  A bare name like "table1"
+    (no path separator, no .json) is always the packaged fixture, whatever
+    the working directory holds; anything else is a path."""
     import os
-    if os.path.exists(str(source)):
+    if os.path.basename(source) != source or source.endswith(".json"):
         with open(source, encoding="utf-8") as fh:
             payload = json.load(fh)
     else:

@@ -474,8 +474,15 @@ def test_norm_form_requires_order():
 
 def test_norm_form_is_hermite_form_up_to_sign():
     rng = random.Random(103)
-    for _ in range(50):
-        f = rand_sf_poly(rng)
+    polys = [rand_sf_poly(rng) for _ in range(50)]
+    # and seeded degree-6 and degree-7 cases, past rand_sf_poly's degree 5
+    for n in (6, 6, 7, 7):
+        f = []
+        while not f or intpoly.discriminant(f) == 0:
+            f = ([rng.randint(-8, 8) for _ in range(n)]
+                 + [rng.choice([1, 2, 3, 5, -2, 6])])
+        polys.append(f)
+    for f in polys:
         n = intpoly.degree(f)
         a = EtaleAlgebra(f)
         r = zeta_lattice(f, 0, a)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -89,6 +90,17 @@ def test_partition_packaged_and_from_path(capsys, tmp_path):
     dst.write_text(src.read_text(encoding="utf-8"), encoding="utf-8")
     code2, out2, _ = run(capsys, "partition", "--table", str(dst))
     assert code2 == 0 and json.loads(out2) == rep
+
+
+def test_partition_bare_name_is_the_packaged_table(capsys, tmp_path,
+                                                    monkeypatch):
+    # a directory named like the table in the working directory is ignored
+    code, out, _ = run(capsys, "partition", "--table", "table1")
+    (tmp_path / "table1").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "partition", "--table", "table1") == (code, out, "")
+    code, out, err = run(capsys, "partition", "--table", "./table1")
+    assert code == 2 and out == "" and "directory" in err
 
 
 def test_partition_corrupted_fixture(capsys, tmp_path):
@@ -259,6 +271,22 @@ def test_poly_degree_over_the_input_cap_exits_2(capsys, wrap):
         assert (code, out) == (2, ""), argv
         assert "MAX_INPUT_DEGREE = %d" % MAX_INPUT_DEGREE in err, argv
         assert err.count("\n") == 1
+
+
+def test_family_degree_over_the_input_cap_exits_2(capsys):
+    code, out, err = run(capsys, "family", "kit", "--n", str(MAX_INPUT_DEGREE))
+    assert code == 0 and json.loads(out)["n"] == MAX_INPUT_DEGREE
+    # at the cap the parameter search stops at its own limit, saying why
+    for sub in ("find-params", "gen"):
+        code, out, err = run(capsys, "family", sub, "--n",
+                             str(MAX_INPUT_DEGREE))
+        assert code == 2 and out == ""
+        assert "C_%d = " % (MAX_INPUT_DEGREE - 1) in err and "< p <=" in err
+    for sub in ("kit", "find-params", "gen"):
+        code, out, err = run(capsys, "family", sub, "--n",
+                             str(MAX_INPUT_DEGREE + 1))
+        assert code == 2 and out == ""
+        assert "MAX_INPUT_DEGREE = %d" % MAX_INPUT_DEGREE in err
 
 
 def test_internal_failure_exits_3_without_output(capsys, monkeypatch):
@@ -556,6 +584,63 @@ def test_integer_flags_read_in_full_up_to_the_cap(capsys):
         main(["bounds", "--n", "3", "--disc", "7" * MAX_INPUT_DIGITS + "x"])
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == "" and len(err) < 1000
+
+
+def _int_flag_options(parser, path=()):
+    # (subcommand path, option) for every option read by cli._int_flag
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _int_flag_options(sub, path + (name,))
+        elif action.type is cli._int_flag:
+            yield path, action.option_strings[0]
+
+
+# is_prime's deterministic witness set ends below this, and it has no factor
+# up to 37, so the refusal is the range check
+_PAST_IS_PRIME = "3317044064679887385961981"
+# one row per integer flag: (subcommand path, option) -> (arguments with a
+# value over the flag's cap, a fragment of the refusal)
+_INT_FLAG_REFUSALS = {
+    (("normform",), "--k"): (["--poly", "[1,0,0,1]", "--k", "3"],
+                             "k out of range"),
+    (("bounds",), "--n"): (["--n", str(MAX_BOUND_DEGREE + 1), "--disc", "5"],
+                           "MAX_BOUND_DEGREE = %d" % MAX_BOUND_DEGREE),
+    (("bounds",), "--disc"): (["--n", "3", "--disc", "7" * MAX_INPUT_DIGITS],
+                              "MAX_HEIGHT_BITS"),
+    (("quartic", "principal-evidence"), "--bound"): (
+        ["--poly", "[255,13,-62,-1,4]", "--bound", str(MAX_SEARCH_BOUND + 1)],
+        "MAX_SEARCH_BOUND = %d" % MAX_SEARCH_BOUND),
+    (("family", "gen"), "--c"): (
+        ["--n", "4", "--c", _PAST_IS_PRIME, "--t", "13"], "too large"),
+    (("family", "gen"), "--t"): (
+        ["--n", "4", "--c", "89", "--t", _PAST_IS_PRIME], "too large"),
+}
+for _sub in ("kit", "find-params", "gen"):
+    _INT_FLAG_REFUSALS[("family", _sub), "--n"] = (
+        ["--n", str(MAX_INPUT_DEGREE + 1)],
+        "MAX_INPUT_DEGREE = %d" % MAX_INPUT_DEGREE)
+
+
+def test_every_integer_flag_has_a_refusal_row():
+    options = list(_int_flag_options(cli._build_parser()))
+    assert len(options) == len(set(options))
+    missing = set(options) - set(_INT_FLAG_REFUSALS)
+    assert not missing, "integer flags without a refusal row: %r" % missing
+    stale = set(_INT_FLAG_REFUSALS) - set(options)
+    assert not stale, "refusal rows for no integer flag: %r" % stale
+
+
+@pytest.mark.parametrize("key", sorted(_INT_FLAG_REFUSALS),
+                         ids=lambda key: " ".join(key[0] + (key[1],)))
+def test_integer_flag_over_its_cap_exits_2(key):
+    (path, option), (args, fragment) = key, _INT_FLAG_REFUSALS[key]
+    assert option in args
+    proc = subprocess.run([sys.executable, "-m", "hermeq.cli", *path, *args],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2, proc.stderr[:500]
+    assert proc.stdout == ""
+    assert fragment in proc.stderr, proc.stderr[:500]
 
 
 # Generated command lines for the cheap subcommands: mostly well-formed

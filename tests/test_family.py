@@ -223,6 +223,19 @@ def test_find_params_search_limit():
         find_params(4, search_limit=10)
 
 
+def test_find_params_catalan_past_the_search_limit():
+    # C_19 = 1767263190: the range of candidate p is empty
+    with pytest.raises(SearchLimitError) as exc:
+        find_params(20)
+    assert str(exc.value) == ("no usable p with C_19 = 1767263190 < p <= "
+                              "1000000")
+    with pytest.raises(SearchLimitError, match="C_3 = 5 < p <= 5$"):
+        find_params(4, search_limit=5)
+    # 6 .. 10 tried: 7 is the only prime, and the degree-5 kit has a root
+    with pytest.raises(SearchLimitError, match="C_3 = 5 < p <= 10$"):
+        find_params(4, search_limit=10)
+
+
 def test_generate_certified_pair_quartic_monic():
     bundle = generate_certified_pair(4, FamilyParams(4, 11, 1, 2))
     assert bundle["f"] == [2, 4, 4, 0, 1]

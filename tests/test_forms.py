@@ -101,78 +101,96 @@ def test_hermite_form_agrees_with_symbolic_resultant():
 
 
 def _rand_linear_rows(rng, k, ncols, nvars):
-    # entries: None, an all-zero form, or coefficients in -4..4
+    # entries: None, 0, an all-zero form, or coefficients in -4..4
     def entry():
         u = rng.random()
-        if u < 0.15:
+        if u < 0.1:
             return None
+        if u < 0.15:
+            return 0
         if u < 0.2:
             return [0] * nvars
         return [rng.randint(-4, 4) for _ in range(nvars)]
     return [[entry() for _ in range(ncols)] for _ in range(k)]
 
 
+def _mixed_matrix(rng, k, m, nvars):
+    # k linear rows over k + m columns above m rows of integers
+    return (_rand_linear_rows(rng, k, k + m, nvars)
+            + [[rng.randint(-4, 4) for _ in range(k + m)] for _ in range(m)])
+
+
 def _as_mpoly(rows, nvars):
     unit = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
-    return [[MPoly(nvars) if a is None else
-             MPoly(nvars, {unit[i]: x for i, x in enumerate(a)})
-             for a in row] for row in rows]
+
+    def entry(a):
+        if isinstance(a, int):
+            return MPoly.constant(nvars, a)
+        return MPoly(nvars, {unit[i]: x for i, x in enumerate(a or ())})
+    return [[entry(a) for a in row] for row in rows]
 
 
-def _counting(weight):
-    calls = []
-
-    def w(mask):
-        calls.append(mask)
-        return weight(mask)
-    return w, calls
+def _cofactor_terms(rows, nvars):
+    # det_cofactor returns the int 0 when a whole row is zero
+    return (MPoly(nvars) + intmat.det_cofactor(_as_mpoly(rows, nvars))).terms
 
 
 def test_laplace_minors_matches_cofactor_determinant():
+    # k linear rows above m integer rows, k = 0 (an integer determinant)
+    # and m = 0 (the norm-form case) included
     rng = random.Random(23)
-    for n in range(1, 7):
-        for trial in range(4):
-            nvars = rng.randint(1, 4)
-            rows = _rand_linear_rows(rng, n, n, nvars)
-            if trial == 3 and n > 1:  # a repeated row: determinant 0
-                rows[-1] = list(rows[0])
-            # det_cofactor returns the int 0 when a whole row is zero
-            want = MPoly(nvars) + intmat.det_cofactor(_as_mpoly(rows, nvars))
-            w, calls = _counting(lambda mask: 1)
-            got = laplace_minors(rows, nvars, w)
-            assert got == want.terms
-            assert calls in ([], [(1 << n) - 1])
-            if trial == 3 and n > 1:
-                assert got == {}
-    # a hand case: det [[x, y], [-y, x]] = x^2 + y^2
-    assert laplace_minors([[[1, 0], [0, 1]], [[0, -1], [1, 0]]], 2,
-                          lambda mask: 1) == {(2, 0): 1, (0, 2): 1}
+    for k in range(6):
+        for m in range(4):
+            if not 0 < k + m <= 6:
+                continue
+            for trial in range(4):
+                nvars = rng.randint(1, 4)
+                rows = _mixed_matrix(rng, k, m, nvars)
+                singular = True
+                if trial == 1 and k:  # an all-zero linear row
+                    rows[rng.randrange(k)] = [rng.choice([None, 0, [0] * nvars])
+                                              for _ in range(k + m)]
+                elif trial == 2 and k > 1:  # a repeated linear row
+                    rows[k - 1] = list(rows[0])
+                elif trial == 3 and m > 1:  # a repeated integer row
+                    rows[-1] = list(rows[k])
+                else:
+                    singular = False
+                got = laplace_minors(rows, nvars)
+                assert got == _cofactor_terms(rows, nvars), (k, m, rows)
+                if singular:
+                    assert got == {}
+    # hand cases: det [[x, y], [-y, x]] = x^2 + y^2, and one mixed matrix
+    assert laplace_minors([[[1, 0], [0, 1]], [[0, -1], [1, 0]]], 2) == {
+        (2, 0): 1, (0, 2): 1}
+    assert laplace_minors([[[1, 0], [0, 1], 0], [None, [1, 0], [0, 1]],
+                           [1, 2, 3]], 2) == {(2, 0): 3, (1, 1): -2, (0, 2): 1}
+    assert laplace_minors([[2, 1], [1, 1]], 2) == {(0, 0): 1}
+    assert laplace_minors([[2, 1], [4, 2]], 2) == {}
 
 
 def test_laplace_minors_weighted_sum_over_column_sets():
-    # k rows over more columns: the sum of weight(S) * minor(S) over all
-    # k-sets S, against the explicit generalized Laplace sum
+    # the determinant equals the generalized Laplace sum over the k-sets S
+    # of columns: the linear rows' minor on S times the integer rows' minor
+    # on the other columns, signed by (-1)^(0 + ... + k-1 + sum of S)
     rng = random.Random(29)
-    for k, ncols in ((1, 3), (2, 4), (3, 5), (3, 6), (4, 7)):
+    for k, m in ((1, 2), (2, 2), (3, 2), (3, 3), (4, 3)):
         nvars = rng.randint(2, 4)
-        rows = _rand_linear_rows(rng, k, ncols, nvars)
-
-        def weight(mask):
-            return (mask * 7) % 5 - 2  # zero on some column sets
-
+        rows = _mixed_matrix(rng, k, m, nvars)
         mats = _as_mpoly(rows, nvars)
         want = MPoly(nvars)
-        zeroed = 0
-        for cols in combinations(range(ncols), k):
-            mask = sum(1 << c for c in cols)
-            zeroed += weight(mask) == 0
-            want = want + weight(mask) * intmat.det_cofactor(
-                [[row[c] for c in cols] for row in mats])
-        assert zeroed
-        w, calls = _counting(weight)
-        assert laplace_minors(rows, nvars, w) == want.terms
+        for cols in combinations(range(k + m), k):
+            comp = [c for c in range(k + m) if c not in cols]
+            minor = intmat.det_cofactor([[row[c] for c in cols]
+                                         for row in mats[:k]])
+            weight = intmat.det_bareiss([[row[c] for c in comp]
+                                         for row in rows[k:]])
+            if (k * (k - 1) // 2 + sum(cols)) % 2:
+                weight = -weight
+            want = want + weight * minor
         assert want.terms
-        assert len(calls) == len(set(calls))  # asked once per column set
+        assert laplace_minors(rows, nvars) == want.terms
+        assert want.terms == _cofactor_terms(rows, nvars)
 
 
 def test_form_degree_cap():

@@ -100,3 +100,18 @@ def test_battery_names_the_broken_table(tmp_path):
     failing = [r for r in report["results"] if not r["ok"]]
     assert [r["name"] for r in failing] == ["table2_partition"]
     assert "checksum" in failing[0]["detail"]["error"]
+
+
+def test_table_names_in_the_working_directory_never_shadow_the_fixtures(
+        tmp_path, monkeypatch):
+    # decoys named like the packaged tables: a directory, a fixture of the
+    # wrong shape and a file that is not JSON
+    (tmp_path / "table1").mkdir()
+    (tmp_path / "table2").write_text(json.dumps({"name": "decoy"}))
+    (tmp_path / "table3").write_text("not json")
+    monkeypatch.chdir(tmp_path)
+    report = reproduce_all()
+    assert report["all_ok"]
+    # the digest pinned in test_battery_passes_and_is_deterministic
+    assert hashlib.sha256(canonical_dumps(report).encode()).hexdigest() == (
+        "2bf15e4f10971e7796cc385c1d7999e3fbc31482f8ce58e420551e8ebc263dc6")
