@@ -25,19 +25,14 @@ def _lowest(rows, den=1):
     return [[x // g for x in row] for row in rows], den // g
 
 
-def _rows(elems):
-    # integer rows of the elements over their least common denominator
-    d = lcm(*(x.den for x in elems))
-    return [[c * (d // x.den) for c in x.num] for x in elems], d
-
-
 def product_rows(x, r):
     """(rows, d): the integer rows of x * r^k, k = 0 .. n-1, over their least
     common denominator d; the multiplication matrix of x for r = alpha."""
     pows = [x]
     for _ in range(x.algebra.n - 1):
         pows.append(pows[-1] * r)
-    return _rows(pows)
+    d = lcm(*(y.den for y in pows))
+    return [[c * (d // y.den) for c in y.num] for y in pows], d
 
 
 def _algebra_key(g):
@@ -256,14 +251,12 @@ class IdealLattice:
         return "IdealLattice(d=%d, hnf=%r)" % (self.denominator,
                                                [list(r) for r in self.hnf])
 
-    def basis_elements(self):
-        return [AlgElement(self.algebra, row, self.denominator)
-                for row in self.rows]
-
     def scaled(self, kappa):
         """The lattice kappa * L, on the basis kappa * b_i."""
-        return IdealLattice(self.algebra,
-                            *_rows([kappa * b for b in self.basis_elements()]))
+        _same_algebra(self, kappa)
+        a = self.algebra
+        return IdealLattice(a, _products(a, [kappa.num], self.rows),
+                            kappa.den * self.denominator * a.pow_scale)
 
     def covolume(self):
         # |det| of any basis: the stored HNF is triangular, pivots positive
@@ -299,7 +292,7 @@ def zeta_lattice(f, k, algebra=None):
     elif algebra.key != _algebra_key(f):
         raise DomainError("algebra does not match polynomial")
     if not 0 <= k <= n - 1:
-        raise DomainError("k out of range")
+        raise DomainError("k out of range 0..%d" % (n - 1))
     rows = []
     for i in range(k + 1):
         rows.append([int(i == j) for j in range(n)])
@@ -392,10 +385,8 @@ def trace_form_disc(l):
 
 
 def is_order(o):
-    if not o.contains(o.algebra.one()):
-        return False
-    elems = o.basis_elements()
-    return all(o.contains(x * y) for x in elems for y in elems)
+    # 1 in o puts o inside o * o, so o is closed exactly when o * o = o
+    return o.contains(o.algebra.one()) and lattice_mul(o, o) == o
 
 
 def _integer_norm_form(algebra, rows):
@@ -568,7 +559,7 @@ def _evaluators(n):
 MAX_SEARCH_BOUND = 64
 
 
-def colon_and_kappa_search(l1, l2, bound=50):
+def colon_and_kappa_search(l1, l2, bound):
     """Search for kappa with kappa * l2 = l1.
 
     Any such kappa lies in the colon lattice (l1 : l2); its absolute norm
@@ -601,8 +592,6 @@ def colon_and_kappa_search(l1, l2, bound=50):
                           " = %d" % (bound, MAX_SEARCH_BOUND))
     a = l1.algebra
     n = a.n
-    if l1 == l2:
-        return a.one()
     ratio = l1.covolume() / l2.covolume()
     p = _int_nth_root(ratio.numerator, n)
     q = _int_nth_root(ratio.denominator, n)

@@ -77,8 +77,8 @@ def _cmd_normform(args):
     check_form_size(degree(f), f)  # before building the lattices
     k = args.k if args.k is not None else degree(f) - 1
     lat = zeta_lattice(f, k)
-    return 0, {"k": k, "form": form_to_json(norm_form(lat,
-                                                      invariant_order(f)))}
+    return 0, {"k": k, "form": form_to_json(
+        norm_form(lat, invariant_order(f, lat.algebra)))}
 
 
 def _cmd_check_z(args):

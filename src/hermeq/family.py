@@ -203,6 +203,13 @@ def properly_nonmonic_certificate(f, c):
     return True
 
 
+def _prime_param(name, v):
+    try:  # is_prime(v), with a refusal that names the parameter
+        return is_prime(v)
+    except ValueError as exc:
+        raise DomainError("parameter %s: %s" % (name, exc)) from None
+
+
 class FamilyParams:
     __slots__ = ("n", "p", "c", "t")
 
@@ -230,9 +237,9 @@ class FamilyParams:
         if roots_mod_p(build_kit(n + 1).k, p):
             raise DomainError("next kit polynomial has a root mod p")
         if c != 1:
-            if not is_prime(c) or c % (n * p) != 1:
+            if not _prime_param("c", c) or c % (n * p) != 1:
                 raise DomainError("c must be 1 or a prime = 1 mod n p")
-        if not is_prime(t):
+        if not _prime_param("t", t):
             raise DomainError("t must be prime")
         if t % p != (-pow(catalan(n - 1), -1, p)) % p:
             raise DomainError("t has the wrong residue mod p")
@@ -315,8 +322,9 @@ def generate_certified_pair(n, params):
     need(u is not None, "lattice witness")
     need(det_bareiss(u) in (1, -1), "witness unimodular")
 
-    nonroot = [poly_eval(build_kit(n + 1).k, r) % p for r in range(p)]
-    need(all(nonroot), "next kit polynomial root-free mod p")
+    knext = build_kit(n + 1).k
+    need(all(poly_eval(knext, r) % p for r in range(p)),
+         "next kit polynomial root-free mod p")
 
     bundle = {
         "n": n,
@@ -329,7 +337,6 @@ def generate_certified_pair(n, params):
         "witness_expr": [0, 1, -c],
         "witness": u,
         "eisenstein_prime": t,
-        "nonroot_values": nonroot,
         "discriminant": discriminant(f),
         "properly_nonmonic": None,
     }

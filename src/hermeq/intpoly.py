@@ -186,15 +186,8 @@ def sylvester_matrix(p, q):
 
 def resultant(p, q):
     """Res(p, q) of integer polynomials as the Sylvester determinant (deg q
-    rows of p on top), by fraction-free Bareiss elimination."""
-    p = normalize(p)
-    q = normalize(q)
-    if not p or not q:
-        raise DomainError("resultant of the zero polynomial is undefined")
-    if degree(p) == 0:
-        return p[0] ** degree(q)
-    if degree(q) == 0:
-        return q[0] ** degree(p)
+    rows of p on top), by fraction-free Bareiss elimination; two constants
+    lay out as the 0 x 0 matrix, of determinant 1."""
     return det_bareiss(sylvester_matrix(p, q))
 
 

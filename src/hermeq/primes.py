@@ -1,24 +1,28 @@
 # Deterministic primality and squarefree tests.
 
+from itertools import count
 from math import isqrt
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to every base in _SMALL_PRIMES
+MAX_PRIME_INPUT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n):
     """Deterministic Miller-Rabin.
 
-    The fixed witness set is exact for every n < 3.3 * 10^24, far beyond any
-    parameter searched here; larger inputs are rejected outright rather than
-    answered probabilistically.
+    The fixed witness set is exact for every n < MAX_PRIME_INPUT, far beyond
+    any parameter searched here; larger inputs are rejected outright rather
+    than answered probabilistically.
     """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n >= 3_317_044_064_679_887_385_961_981:
-        raise ValueError("input too large for the deterministic witness set")
+    if n >= MAX_PRIME_INPUT:
+        raise ValueError("input is at or over the cap MAX_PRIME_INPUT = %d of"
+                         " the deterministic witness set" % MAX_PRIME_INPUT)
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -37,24 +41,10 @@ def is_prime(n):
     return True
 
 
-def next_prime(n):
-    """Smallest prime strictly greater than n."""
-    k = n + 1
-    if k <= 2:
-        return 2
-    if k % 2 == 0:
-        k += 1
-    while not is_prime(k):
-        k += 2
-    return k
-
-
 def primes_in_progression(residue, modulus):
     """Yield the primes p = residue (mod modulus), ascending."""
-    p = 1
-    while True:
-        p = next_prime(p)
-        if p % modulus == residue % modulus:
+    for p in count(residue % modulus, modulus):
+        if is_prime(p):
             yield p
 
 

@@ -10,9 +10,11 @@ power_sums() and trace_and_norm() are Fraction views of the traces and
 norms hermeq computes in integers; form_value() evaluates a decomposable
 form term by term, the reference for the search's compiled evaluators;
 power() raises an element to a power by repeated multiplication;
-unit_lattice() is Z[alpha]; make_table() writes table fixtures;
-resolvent_cubic() is the pencil determinant of a quartic pair, which
-quartic.act moves by a variable substitution.  charpoly() is the
+basis_elements() is the basis of a lattice as elements, the element by
+element route that lattice_mul, IdealLattice.scaled and is_order are
+checked against; unit_lattice() is Z[alpha]; make_table() writes table
+fixtures; resolvent_cubic() is the pencil determinant of a quartic pair,
+which quartic.act moves by a variable substitution.  charpoly() is the
 Faddeev-LeVerrier characteristic polynomial the minimal polynomials of the
 GL2 pair tests are checked against, and partition_two_way() the partition
 by pair tests in both directions.
@@ -21,7 +23,8 @@ by pair tests in both directions.
 from fractions import Fraction
 from itertools import product
 
-from hermeq.algebra import EtaleAlgebra, IdealLattice, _gram, product_rows
+from hermeq.algebra import (AlgElement, EtaleAlgebra, IdealLattice, _gram,
+                            product_rows)
 from hermeq.equivalence import gl2_witness_solve
 from hermeq.intmat import adjugate_solve, det_bareiss, identity, mat_mul
 from hermeq.intpoly import DomainError, normalize, poly_mul, scaled_power_sums
@@ -173,6 +176,11 @@ def resolvent_cubic(pair):
             raise DomainError("pencil determinant of a doubled pair is even")
         total[t] //= 2
     return total
+
+
+def basis_elements(l):
+    """The stored basis of the lattice l as elements, in its row order."""
+    return [AlgElement(l.algebra, row, l.denominator) for row in l.rows]
 
 
 def dual_lattice(l):

@@ -15,7 +15,7 @@ from hermeq.algebra import (MAX_SEARCH_BOUND, AlgElement, EtaleAlgebra,
 from hermeq.forms import DecomposableForm, hermite_form
 from hermeq.intmat import hnf_lattice, inverse_rational, mat_mul
 from hermeq.intpoly import DomainError
-from oracles import (dual_lattice, form_value, lines, power,
+from oracles import (basis_elements, dual_lattice, form_value, lines, power,
                      power_sums, trace_and_norm, unit_lattice)
 
 
@@ -249,8 +249,8 @@ def test_lattice_mul_matches_products_of_elements():
                 if hnf_lattice(rows)[1] == n:
                     pair.append(IdealLattice(a, rows, rng.randint(2, 12)))
             l1, l2 = pair
-            prods = [x * y for x in l1.basis_elements()
-                     for y in l2.basis_elements()]
+            prods = [x * y for x in basis_elements(l1)
+                     for y in basis_elements(l2)]
             d = lcm(*(x.den for x in prods))
             h, _ = hnf_lattice([[c * (d // x.den) for c in x.num]
                                 for x in prods])
@@ -261,6 +261,63 @@ def test_lattice_mul_matches_products_of_elements():
             assert got.hnf == want.hnf, g
             fractional += got.denominator > 1
     assert fractional >= 15
+
+
+def _scaled_by_elements(l, kappa):
+    # kappa * l on the basis kappa * b_i, the products taken one by one
+    prods = [kappa * x for x in basis_elements(l)]
+    d = lcm(*(x.den for x in prods))
+    return IdealLattice(l.algebra, [[c * (d // x.den) for c in x.num]
+                                    for x in prods], d)
+
+
+def test_scaled_and_is_order_match_the_element_route():
+    # scaled and is_order go through the lattice product; the reference
+    # multiplies basis elements one by one.  Nonmonic and reducible g, the
+    # orders R_f and Z + m R_f beside the ideals I_f(k) and random lattices,
+    # and kappa a zero divisor at times, which both routes refuse alike
+    rng = random.Random(79)
+    orders = others = refused = 0
+    algebras = [[-3, 1, 2], [7, 5, 3, 2], [2, -1, 0, 5, 3], [1, 0, 1, 0, 1],
+                [0, 1, 0, 1], intpoly.poly_mul([-1, 2], [1, 0, 3]),
+                intpoly.poly_mul([1, 1], [-2, 0, 0, 5])]
+    for g in algebras:
+        a = EtaleAlgebra(g)
+        n = a.n
+        r = invariant_order(g, a)
+        m = rng.randint(2, 5)
+        lattices = [zeta_lattice(g, k, a) for k in range(n)]
+        lattices.append(IdealLattice(a, r.rows[:1] + [
+            [m * c for c in row] for row in r.rows[1:]], r.denominator))
+        while len(lattices) < n + 5:
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            if hnf_lattice(rows)[1] == n:
+                lattices.append(IdealLattice(a, rows, rng.randint(1, 4)))
+        for l in lattices:
+            b = basis_elements(l)
+            closed = l.contains(a.one()) and all(
+                l.contains(x * y) for x in b for y in b)
+            assert is_order(l) == closed, (g, l)
+            orders += closed
+            others += not closed
+            kappas = [AlgElement(a, [rng.randint(-2, 2) for _ in range(n)],
+                                 rng.randint(1, 6)) for _ in range(3)]
+            if g == [0, 1, 0, 1]:  # X^3 + X: alpha (alpha^2 + 1) = 0
+                kappas += [a.alpha(), a.from_poly([1, 0, 1])]
+            for kappa in kappas + [a.zero()]:
+                try:
+                    want = _scaled_by_elements(l, kappa)
+                except DomainError as exc:
+                    with pytest.raises(DomainError, match=str(exc)):
+                        l.scaled(kappa)
+                    refused += 1
+                    continue
+                got = l.scaled(kappa)
+                assert (got.rows, got.denominator) == \
+                    (want.rows, want.denominator), (g, l, kappa)
+    assert orders >= 15 and others >= 35 and refused >= 80
+    with pytest.raises(DomainError, match="algebra mismatch"):
+        r.scaled(EtaleAlgebra(GAUSS).one())
 
 
 def test_ideal_powers():
@@ -439,10 +496,10 @@ def test_integer_trace_form_matches_multiplication_matrix_traces():
             except DomainError:
                 pass
         for l in lattices:
-            b = l.basis_elements()
+            b = basis_elements(l)
             gram = [[tr(x * y) for y in b] for x in b]
             assert trace_form_disc(l) == sympy.Matrix(gram).det()
-            d = dual_lattice(l).basis_elements()
+            d = basis_elements(dual_lattice(l))
             assert [[tr(x * y) for y in b] for x in d] == \
                 [[int(i == j) for j in range(n)] for i in range(n)]
             for x in b:
@@ -557,12 +614,19 @@ def test_kappa_search_inconclusive():
 
 
 def test_kappa_search_rejects_negative_bound():
-    # checked before the equal-lattice and scalar shortcuts
+    # checked before the scalar shortcut, which finds kappa = 1 for equal
+    # lattices at any bound
     a = EtaleAlgebra(GAUSS)
     u = unit_lattice(a)
     with pytest.raises(DomainError):
         colon_and_kappa_search(u, u, -1)
     assert colon_and_kappa_search(u, u, 0) == a.one()
+    for f in ([-3, 1, 2], [7, 5, 3, 2], [2, -1, 0, 5, 3],
+              [1, 1, -2, 0, 0, 5]):
+        b = EtaleAlgebra(f)
+        for l in (unit_lattice(b), zeta_lattice(f, 0, b),
+                  zeta_lattice(f, b.n - 1, b)):
+            assert colon_and_kappa_search(l, l, 0) == b.one(), f
 
 
 def test_kappa_search_rejects_a_bound_over_the_cap():

@@ -20,6 +20,7 @@ from hermeq.family import CertificateError
 from hermeq.forms import MAX_FORM_BITS, MAX_FORM_DEGREE
 from hermeq.intpoly import discriminant
 from hermeq.jsonio import MAX_INPUT_DEGREE, MAX_INPUT_DIGITS
+from hermeq.primes import MAX_PRIME_INPUT
 
 T1_POLY = '[1,2,-4,-1,1]'
 
@@ -598,12 +599,13 @@ def _int_flag_options(parser, path=()):
 
 # is_prime's deterministic witness set ends below this, and it has no factor
 # up to 37, so the refusal is the range check
-_PAST_IS_PRIME = "3317044064679887385961981"
+_PAST_IS_PRIME = str(MAX_PRIME_INPUT)
+_PRIME_CAP = "is at or over the cap MAX_PRIME_INPUT = %d" % MAX_PRIME_INPUT
 # one row per integer flag: (subcommand path, option) -> (arguments with a
 # value over the flag's cap, a fragment of the refusal)
 _INT_FLAG_REFUSALS = {
     (("normform",), "--k"): (["--poly", "[1,0,0,1]", "--k", "3"],
-                             "k out of range"),
+                             "k out of range 0..2"),
     (("bounds",), "--n"): (["--n", str(MAX_BOUND_DEGREE + 1), "--disc", "5"],
                            "MAX_BOUND_DEGREE = %d" % MAX_BOUND_DEGREE),
     (("bounds",), "--disc"): (["--n", "3", "--disc", "7" * MAX_INPUT_DIGITS],
@@ -612,9 +614,11 @@ _INT_FLAG_REFUSALS = {
         ["--poly", "[255,13,-62,-1,4]", "--bound", str(MAX_SEARCH_BOUND + 1)],
         "MAX_SEARCH_BOUND = %d" % MAX_SEARCH_BOUND),
     (("family", "gen"), "--c"): (
-        ["--n", "4", "--c", _PAST_IS_PRIME, "--t", "13"], "too large"),
+        ["--n", "4", "--c", _PAST_IS_PRIME, "--t", "13"],
+        "parameter c: input " + _PRIME_CAP),
     (("family", "gen"), "--t"): (
-        ["--n", "4", "--c", "89", "--t", _PAST_IS_PRIME], "too large"),
+        ["--n", "4", "--c", "89", "--t", _PAST_IS_PRIME],
+        "parameter t: input " + _PRIME_CAP),
 }
 for _sub in ("kit", "find-params", "gen"):
     _INT_FLAG_REFUSALS[("family", _sub), "--n"] = (

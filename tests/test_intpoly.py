@@ -88,6 +88,15 @@ def test_resultant_hand_cases():
     # Res(X-1, X-2): both linear, Sylvester is [[1,-1],[1,-2]]
     assert intpoly.resultant([-1, 1], [-2, 1]) == -1
     assert intpoly.resultant([1, 0, 1], [1, 0, 1]) == 0
+    # a constant operand: Res(c, q) = c^deg q and Res(p, c) = c^deg p, with
+    # Res(c, d) = 1 for two constants, in both argument orders
+    for c in ([3], [-2], [-1], [1], [-5, 0, 0]):
+        for q in ([2, -1], [1, 2, 3], [-4, 0, 0, -7], [0, 0, 0, 0, 3]):
+            want = c[0] ** intpoly.degree(q)
+            assert intpoly.resultant(c, q) == want, (c, q)
+            assert intpoly.resultant(q, c) == want, (c, q)
+        for d in (-7, -1, 1, 4):
+            assert intpoly.resultant(c, [d]) == intpoly.resultant([d], c) == 1
 
 
 def test_resultant_product_formula_on_split_polys():
@@ -134,8 +143,9 @@ def test_resultant_swap_sign():
 
 
 def test_resultant_zero_poly_raises():
-    with pytest.raises(intpoly.DomainError):
-        intpoly.resultant([], [1, 1])
+    for p, q in (([], [1, 1]), ([1, 1], [0, 0]), ([0], [3]), ([3], [])):
+        with pytest.raises(intpoly.DomainError, match="zero polynomial"):
+            intpoly.resultant(p, q)
 
 
 def test_discriminant_hand_cases():
