@@ -61,20 +61,20 @@ def coeff_bound_log(n, d, monic=False):
     with localcontext() as ctx:
         ctx.prec = _MONIC_LOG_PRECISION
         ctx.rounding = ROUND_CEILING
-        if ad == 1:
-            logstar = Decimal(1)
-        else:
-            # ln() ignores the context rounding mode (always half-even),
-            # so take it at surplus precision and bump by one ulp to stay
-            # on the safe side of an upper bound
-            with localcontext() as lctx:
-                lctx.prec = _MONIC_LOG_PRECISION + 10
-                lnv = Decimal(ad).ln()
-                lnv += Decimal(1).scaleb(lnv.adjusted() - lctx.prec + 1)
-            logstar = +lnv
-            if logstar < 1:
-                logstar = Decimal(1)
-        inner = Decimal(ad) * logstar ** n
+        # ln() is always half-even and ** need not round up, so take them at
+        # surplus precision and bump by one ulp to stay on the safe side of
+        # an upper bound.  |d| enters as ceil(|d| / 2^s) 2^s, its leading 200
+        # bits, at a cost that stays flat in its size; below 2^200, exactly
+        with localcontext() as lctx:
+            lctx.prec = _MONIC_LOG_PRECISION + 10
+
+            def up(x):
+                return x + Decimal(1).scaleb(x.adjusted() - lctx.prec + 1)
+            s = max(0, ad.bit_length() - 200)
+            big = Decimal(-(-ad >> s)) * up(Decimal(2) ** s) if s else Decimal(ad)
+            lnv = up(big.ln())
+        logstar = max(+lnv, Decimal(1))
+        inner = big * logstar ** n
         return Decimal(n) ** 20 * Decimal(8) ** (n * n + 19) * inner ** (n - 1)
 
 

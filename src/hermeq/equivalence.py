@@ -148,12 +148,10 @@ def _solve_33(f, b):
 
 
 def _witness_sign(f, gamma):
-    # the sign restoring a positive leading coefficient after the translate
-    try:
-        t = gl2_act(f, gamma)
-    except DegreeDropError:
-        return 1
-    return 1 if t[-1] > 0 else -1
+    # sign of the translate's leading coefficient sum f_j a^j c^(n-j); 1 at 0
+    (a, _), (c, _) = gamma
+    lead = sum(x * a ** j * c ** (len(f) - 1 - j) for j, x in enumerate(f))
+    return -1 if lead < 0 else 1
 
 
 def _gl2_gamma(f, b):

@@ -117,25 +117,21 @@ def verify_kit_identities(kit):
 
 
 def family_polys(n, c, t):
-    """(f, g, recovery) for parameters (c, t):
-    f = cX^n + t k(cX), g = cX^n + t(1 - 2cX a(cX)) + c^(n-1) t^2 b(cX),
-    recovery = X a(cX) - c^(n-2) t b(cX) maps beta back to alpha."""
-    if n < 4:
-        raise DomainError("family needs n >= 4")
+    """(f, g, recovery) for parameters (c, t): f~(cX) and g~(cX) of
+    tilde_polys divided by c^(n-1), so f = cX^n + t k(cX); recovery =
+    X a(cX) - c^(n-2) t b(cX) maps beta back to alpha."""
+    # tilde_polys refuses n < 4 before the zero parameters are refused
+    f, g = (poly_compose(p, [0, c]) for p in tilde_polys(n, c, t))
     if c == 0 or t == 0:
         raise DomainError("parameters must be nonzero")
+    scale = c ** (n - 1)
+    if any(x % scale for x in f + g):
+        raise AssertionError("c^(n-1) does not divide f~(cX) and g~(cX)")
     kit = build_kit(n)
-    f = poly_add(poly_shift([c], n),
-                 poly_scale(poly_compose(kit.k, [0, c]), t))
-    g = poly_add(poly_shift([c], n),
-                 poly_add(poly_scale(poly_sub([1], poly_mul([0, 2 * c],
-                                                            poly_compose(kit.a, [0, c]))), t),
-                          poly_scale(poly_compose(kit.b, [0, c]),
-                                     c ** (n - 1) * t * t)))
     recovery = poly_sub(poly_mul([0, 1], poly_compose(kit.a, [0, c])),
                         poly_scale(poly_compose(kit.b, [0, c]),
                                    c ** (n - 2) * t))
-    return f, g, recovery
+    return [x // scale for x in f], [x // scale for x in g], recovery
 
 
 def tilde_polys(n, c, t):
@@ -309,7 +305,8 @@ def generate_certified_pair(n, params):
 
     need(eisenstein_check(f, t), "f Eisenstein at t")
     need(eisenstein_check(g, t), "g Eisenstein at t")
-    need(discriminant(f) == discriminant(g), "equal discriminants")
+    disc = discriminant(f)
+    need(disc == discriminant(g), "equal discriminants")
 
     alg = EtaleAlgebra(f)
     alpha = alg.alpha()
@@ -337,7 +334,7 @@ def generate_certified_pair(n, params):
         "witness_expr": [0, 1, -c],
         "witness": u,
         "eisenstein_prime": t,
-        "discriminant": discriminant(f),
+        "discriminant": disc,
         "properly_nonmonic": None,
     }
     if c != 1:

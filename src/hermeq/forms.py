@@ -130,9 +130,6 @@ def laplace_minors(rows, nvars):
                     continue
                 sign = -1 if bin(mask >> c).count("1") & 1 else 1
                 _mul_add(nxt.setdefault(mask | 1 << c, {}), poly, lin, sign)
-        for poly in nxt.values():
-            for key in [key for key, v in poly.items() if not v]:
-                del poly[key]
         level = nxt
     weights, out = {}, {}
     for mask, poly in level.items():

@@ -1,7 +1,7 @@
 # Deterministic primality and squarefree tests.
 
 from itertools import count
-from math import isqrt
+from math import gcd, isqrt
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # the least strong pseudoprime to every base in _SMALL_PRIMES
@@ -43,8 +43,9 @@ def is_prime(n):
 
 def primes_in_progression(residue, modulus):
     """Yield the primes p = residue (mod modulus), ascending."""
-    for p in count(residue % modulus, modulus):
-        if is_prime(p):
+    g = gcd(residue, modulus)  # a class with g > 1 holds no prime but g
+    for p in count(residue % modulus, modulus) if g == 1 else [g]:
+        if is_prime(p) and (p - residue) % modulus == 0:
             yield p
 
 

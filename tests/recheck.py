@@ -1,0 +1,100 @@
+"""Re-check affirmative CLI answers from their stdout alone.
+
+Each function takes the command's input and the JSON it printed, and
+asserts that the printed witness proves the answer, by a route other than
+the one that produced it:
+
+- recheck_gl2: `check-gl2` solves a linear system in the power basis of
+  beta_i and signs the witness by the translate's leading coefficient.
+  Here the Moebius relation is re-derived by products and an inverse in
+  K_f, and the sign by expanding gl2_act on the minimal polynomial of
+  beta_i, the characteristic polynomial of its multiplication matrix.
+- recheck_family_gen: `family gen` builds f and g from the weight-
+  normalized pair and certifies U by the invariant-lattice criterion.
+  Here f and g are the paper's formulas evaluated in sympy from the kit,
+  and U is checked to carry [g] to +-[f] on the forms of both routes,
+  hermite_form and norm_form.
+"""
+
+import json
+
+import sympy
+
+from hermeq.algebra import (EtaleAlgebra, invariant_order, norm_form,
+                            zeta_lattice)
+from hermeq.equivalence import DegreeDropError, gl2_act
+from hermeq.family import build_kit
+from hermeq.forms import act_gln, hermite_form
+from hermeq.intmat import transpose
+from oracles import adjugate, charpoly
+
+
+def _ints(values):
+    return [int(v) for v in values]
+
+
+def recheck_gl2(poly, beta, target, out):
+    """beta_j - (a beta_i + b)/(c beta_i + d) is a rational integer, and the
+    sign is that of the leading coefficient of the translate of the
+    minimal polynomial of beta_i (+1 where it vanishes)."""
+    doc = json.loads(out)
+    assert doc["related"] is True, doc
+    gamma = [_ints(row) for row in doc["witness"]["gamma"]]
+    (a, b), (c, d) = gamma
+    assert a * d - b * c in (1, -1), gamma
+    alg = EtaleAlgebra(poly)
+    bi = alg.element([0] + list(beta))
+    bj = alg.element([0] + list(target))
+    diff = (a * bi + b) * (c * bi + d).inverse() - bj
+    assert diff.den == 1 and not any(diff.num[1:]), (gamma, diff)
+    rows, x = [], bi
+    for _ in range(alg.n):
+        rows.append(list(x.num))
+        x = x * alg.alpha()
+    try:
+        lead = gl2_act(charpoly(rows), gamma)[-1]
+    except DegreeDropError:
+        lead = 0
+    assert doc["witness"]["sign"] == (-1 if lead < 0 else 1), (gamma, lead)
+
+
+def paper_pair(n, c, t):
+    """f = cX^n + t k(cX) and g = cX^n + t(1 - 2cX a(cX)) + c^(n-1) t^2 b(cX),
+    the paper's formulas evaluated in sympy from the kit, as ascending
+    integer coefficients."""
+    x = sympy.Symbol("x")
+    kit = build_kit(n)
+    a, b, k = (sum(co * (c * x) ** i for i, co in enumerate(p))
+               for p in (kit.a, kit.b, kit.k))
+    return tuple(_ints(reversed(sympy.Poly(sympy.expand(e), x).all_coeffs()))
+                 for e in (c * x ** n + t * k,
+                           c * x ** n + t * (1 - 2 * c * x * a)
+                           + c ** (n - 1) * t ** 2 * b))
+
+
+def _flip(m):
+    # m with its rows and columns reversed: the change of basis between
+    # descending and ascending powers
+    return [row[::-1] for row in m[::-1]]
+
+
+def recheck_family_gen(out):
+    """f and g are paper_pair(n, c, t), and U^-T carries [g] to +-[f]: on
+    hermite_form, whose variables run over descending powers, through the
+    flipped U, and on the norm forms of the power lattices, over ascending
+    powers, through U itself."""
+    doc = json.loads(out)
+    n = doc["n"]
+    f, g = paper_pair(n, doc["c"], doc["t"])
+    assert _ints(doc["f"]["coeffs"]) == f, (doc["f"], f)
+    assert _ints(doc["g"]["coeffs"]) == g, (doc["g"], g)
+    u = [_ints(row) for row in doc["witness"]]
+    adj = adjugate(u)
+    det = sum(u[0][j] * adj[j][0] for j in range(n))
+    assert det in (1, -1), u
+    inv = [[det * v for v in row] for row in adj]
+    hf, hg = hermite_form(f), hermite_form(g)
+    assert act_gln(hg, transpose(_flip(inv))) in (hf, -hf)
+    nf, ng = (norm_form(zeta_lattice(p, n - 1), invariant_order(p))
+              for p in (f, g))
+    assert act_gln(ng, transpose(inv)) in (nf, -nf)

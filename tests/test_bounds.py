@@ -1,4 +1,5 @@
-from decimal import Decimal
+import random
+from decimal import ROUND_CEILING, Decimal, localcontext
 
 import pytest
 import sympy
@@ -35,6 +36,34 @@ def test_monic_bound_unit_discriminant_is_exact():
 def test_monic_bound_small_disc_logstar_clamps():
     # |d| = 2 has ln < 1, so log* clamps to 1 and the value is again exact
     assert coeff_bound_log(2, 2, monic=True) == Decimal(2 ** 20 * 8 ** 23 * 2)
+
+
+def _monic_bound_converting_all_of_d(n, d):
+    # the monic bound with the whole of |d| converted to Decimal
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = 40, ROUND_CEILING
+        with localcontext() as lctx:
+            lctx.prec = 50
+            lnv = Decimal(abs(d)).ln()
+            lnv += Decimal(1).scaleb(lnv.adjusted() - lctx.prec + 1)
+        logstar = max(+lnv, Decimal(1))
+        inner = Decimal(abs(d)) * logstar ** n
+        return Decimal(n) ** 20 * Decimal(8) ** (n * n + 19) * inner ** (n - 1)
+
+
+def test_monic_bound_of_a_long_disc_keeps_38_digits_and_stays_above():
+    # |d| enters from its leading bits: never below the bound that converts
+    # all of |d|, and equal to it in the first 38 digits
+    rng = random.Random(4140)
+    for digits in range(41, 121):
+        d = rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1),
+                                                10 ** digits)
+        n = rng.randint(2, 8)
+        got = coeff_bound_log(n, d, monic=True)
+        want = _monic_bound_converting_all_of_d(n, d)
+        assert got >= want
+        assert got.adjusted() == want.adjusted()
+        assert got.as_tuple().digits[:38] == want.as_tuple().digits[:38]
 
 
 def test_bound_monotone_in_disc():

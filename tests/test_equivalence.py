@@ -8,7 +8,7 @@ from hermeq.equivalence import (ContentMismatchError, DegenerateSystemError,
                                 DegreeDropError, NotARootError,
                                 PreconditionError, _BetaContext, _generator,
                                 _pair_kernel, _power_matrix, _solve_33,
-                                _unimodular_inverse, gl2_act,
+                                _unimodular_inverse, _witness_sign, gl2_act,
                                 gl2_pair_test, gl2_witness_solve,
                                 hermite_witness_check, partition_gl2,
                                 reducible_pair, z_equiv_test)
@@ -719,3 +719,20 @@ def test_reducible_pair_rejects_rational_root():
 def test_reducible_pair_rejects_non_monic():
     with pytest.raises(PreconditionError):
         reducible_pair([1, 0, 0, 2])
+
+
+def test_witness_sign_is_the_sign_of_the_translates_leading_coefficient():
+    # the sign of the leading coefficient of gl2_act(f, gamma), +1 where
+    # the translate drops degree; f(1) = 0 makes [[1, 0], [1, 1]] drop
+    rng = random.Random(2404)
+    cases = [([-1, 1, 0, 1, -1], [[1, 0], [1, 1]])]
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        f = [rng.randint(-9, 9) for _ in range(n)] + [rng.choice([1, -1, 3])]
+        cases.append((f, rand_gamma(rng)))
+    for f, gamma in cases:
+        try:
+            want = 1 if gl2_act(f, gamma)[-1] > 0 else -1
+        except DegreeDropError:
+            want = 1
+        assert _witness_sign(f, gamma) == want, (f, gamma)

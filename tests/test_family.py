@@ -3,14 +3,15 @@ import random
 import pytest
 import sympy
 
-from hermeq.family import (CertificateError, FamilyParams, SearchLimitError,
-                           build_kit, catalan, eisenstein_check, family_polys,
+from hermeq.family import (FamilyParams, SearchLimitError, build_kit,
+                           catalan, eisenstein_check, family_polys,
                            find_params, generate_certified_pair,
                            properly_nonmonic_certificate, shifted_kit_poly,
                            snc, tilde_polys, verify_kit_identities)
 from hermeq.intpoly import (DomainError, degree, discriminant, normalize,
                             poly_compose, poly_divmod_exact, poly_mul,
-                            poly_scale, poly_shift, poly_sub)
+                            poly_shift, poly_sub)
+from recheck import paper_pair
 
 X = sympy.symbols("x")
 
@@ -151,6 +152,19 @@ def test_family_tilde_consistency():
         assert [v // scale for v in comp] == f
         comp = poly_compose(gt, [0, c])
         assert [v // scale for v in comp] == g
+
+
+def test_family_polys_refuses_a_low_degree_before_zero_parameters():
+    with pytest.raises(DomainError, match="n >= 4"):
+        family_polys(3, 0, 0)
+    for c, t in ((0, 3), (3, 0)):
+        with pytest.raises(DomainError, match="nonzero"):
+            family_polys(4, c, t)
+
+
+def test_family_polys_match_the_formulas_at_negative_parameters():
+    for n, c, t in ((4, -3, 2), (5, -2, -7), (6, -89, 13), (7, 5, -3)):
+        assert family_polys(n, c, t)[:2] == paper_pair(n, c, t)
 
 
 def test_eisenstein():

@@ -5,7 +5,7 @@ from hermeq.algebra import EtaleAlgebra
 from hermeq.equivalence import hermite_witness_check
 from hermeq.intmat import det_bareiss
 from hermeq.intpoly import DomainError, content, discriminant
-from hermeq.pairfamilies import (PAIR_EXPR, quartic_pair, quartic_params_ok,
+from hermeq.pairfamilies import (quartic_pair, quartic_params_ok,
                                  quartic_samples, quintic_pair,
                                  quintic_params_ok, quintic_samples)
 from oracles import power

@@ -16,6 +16,15 @@ def test_primes_in_progression_is_the_filtered_range(residue, modulus):
                        len(want))) == want
 
 
+@pytest.mark.parametrize("residue, modulus, want",
+                         [(0, 7, [7]), (3, 9, [3]), (6, 9, []), (2, 6, [2]),
+                          (4, 6, []), (0, 4, [])])
+def test_a_class_sharing_a_factor_with_its_modulus_ends(residue, modulus,
+                                                        want):
+    # g = gcd(residue, modulus) > 1 divides every member: only g can be prime
+    assert list(primes_in_progression(residue, modulus)) == want
+
+
 def test_is_prime_refusal_names_its_cap():
     # the largest input below the cap with no factor up to 37 is answered
     below = next(m for m in range(MAX_PRIME_INPUT - 1, 0, -1)

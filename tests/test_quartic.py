@@ -3,7 +3,7 @@ import random
 import pytest
 import sympy
 
-from hermeq.algebra import EtaleAlgebra, zeta_lattice
+from hermeq.algebra import zeta_lattice
 from hermeq.intmat import mat_mul
 from hermeq.intpoly import DomainError, discriminant
 from hermeq.primes import is_squarefree

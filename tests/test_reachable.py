@@ -113,12 +113,12 @@ def test_every_class_member_is_read():
     assert not dead, dead
 
 
-def test_no_module_has_an_unused_import():
-    # every name an import binds in src/hermeq, at top level or inside a
-    # function, must be read somewhere in that module; the package's own
-    # imports are its public API and count as read through __all__
+def _unused_imports(directory):
+    # "file:line name" for each name an import binds in a module of
+    # directory, at top level or inside a function, that the module never
+    # reads; the names a module lists in __all__ count as read
     unused = []
-    for fn, tree in _trees(SRC):
+    for fn, tree in _trees(directory):
         bound, read = {}, set()
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -135,6 +135,18 @@ def test_no_module_has_an_unused_import():
         unused += ["%s:%d %s" % (fn, line, name)
                    for name, line in sorted(bound.items())
                    if name not in read]
+    return unused
+
+
+def test_no_module_has_an_unused_import():
+    # every name an import binds in src/hermeq must be read in its module;
+    # the package's own imports are its public API, read through __all__
+    unused = _unused_imports(SRC)
+    assert not unused, unused
+
+
+def test_no_test_module_has_an_unused_import():
+    unused = _unused_imports(os.path.dirname(os.path.abspath(__file__)))
     assert not unused, unused
 
 
