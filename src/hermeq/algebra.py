@@ -9,7 +9,8 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm, prod
 
-from .forms import DecomposableForm, check_form_size, laplace_minors
+from .forms import (DecomposableForm, check_form_size, packed_minors,
+                    unpack_exponents)
 from .intmat import (adjugate_solve, det_bareiss, hnf_lattice, identity,
                      mat_mul, transpose)
 from .intpoly import (DomainError, degree, discriminant, normalize,
@@ -48,6 +49,8 @@ class EtaleAlgebra:
     compare equal whenever their primitive positive-leading defining
     polynomials agree.
     """
+
+    __slots__ = ("poly", "n", "key", "pow_scale", "pow_table")
 
     def __init__(self, g):
         g = normalize(g)
@@ -391,7 +394,8 @@ def is_order(o):
 
 def _integer_norm_form(algebra, rows):
     # (terms, d): N(z1 r1 + ... + zn rn) for integer rows r_i as the integer
-    # form det(d*M) = d^n N(sum z_i r_i), exponent tuples -> coefficients.
+    # form det(d*M) = d^n N(sum z_i r_i), packed exponent keys (base n + 1,
+    # as every row of M is linear) -> coefficients, zeros among them.
     # Row k of s*M(x) is s alpha^k x = sum_j x_j pow_table[k + j], so z_i's
     # coefficient in entry (k, c) of s*M is entry (i, c) of the rows times
     # pow_table[k:k + n]; d = s / g with g the gcd of s and all those
@@ -404,7 +408,8 @@ def _integer_norm_form(algebra, rows):
     g = gcd(s, *(x for line in sym for entry in line for x in entry))
     if g > 1:
         sym = [[[x // g for x in entry] for entry in line] for line in sym]
-    return laplace_minors(sym, n), s // g
+    terms, _ = packed_minors(sym)
+    return terms, s // g
 
 
 def norm_form(l, o):
@@ -422,12 +427,12 @@ def norm_form(l, o):
     nu = lattice_norm(l, o)
     div = (dd * l.denominator) ** n * nu.numerator
     terms = {}
-    for e, c in det.items():
+    for key, c in det.items():
         v, r = divmod(c * nu.denominator, div)
         if r:
             raise DomainError("norm form is not integral; l is not an o-ideal")
         if v:
-            terms[e] = v
+            terms[unpack_exponents(key, n, n + 1)] = v
     return DecomposableForm(n, terms)
 
 
@@ -461,26 +466,42 @@ def _horner(terms, x):
     return out
 
 
+# The prime modulo which the generator search scans its boxes.  The norm
+# form's coefficients carry tens of bits, but a point can take the value
+# +-want only if it does so modulo this prime, and that test runs on
+# residues of one machine digit; the points that pass it are evaluated
+# exactly.
+SCAN_PRIME = 8191
+
+
 @lru_cache(maxsize=None)
 def _evaluators(n):
-    """(monos, head, scan): exact evaluators of a form of degree n in
-    z_0..z_{n-1}, given as its coefficient vector C on the monomials monos.
+    """(keys, scan): the block evaluator of a form P of degree n in
+    z_0..z_{n-1}, given as its coefficient vector C on the monomials whose
+    exponent tuples e are packed in keys as sum e_i (n + 1)^i, the packing
+    of packed_minors.
 
-    With u = z_{n-2} and t = z_{n-1}, head(C, z_0, ..., z_{n-3}) gives the
-    coefficients a of the form P as a polynomial in (u, t), forming each
-    monomial of z_0..z_{n-3} once and sharing it across them.
-
-    scan(a, us, s, rows, w) is the list of the points (u, t) at which P
-    takes the value w or -w, with u in us, t in -s..s when rows is true or
-    |u| = s, and t = +-s otherwise; each point appears once.  On a line of
-    every t it takes the coefficients c_j(u) of t^j by Horner in u, tests
-    t = 0 once and then each pair +-t at once through the even and odd
-    parts in t: P(u, +-t) = E(t^2) +- t O(t^2).  On a line of t = +-s alone
-    it evaluates P(u, +-s) = A(u) +- B(u), whose coefficients in u it forms
-    once per call.  The monomials depend only on n, so the code is compiled
+    scan(C, R, prefix, us, s, rows, w) is the list of the points (u, t) at
+    which P(prefix, u, t) takes the value w or -w, with u in us, t in -s..s
+    when rows is true or |u| = s, and t = +-s otherwise; each point appears
+    once.  R is C reduced modulo SCAN_PRIME, and the scan runs on residues:
+    it forms the coefficients a of P as a polynomial in (u, t) from R,
+    each monomial of the prefix formed once and shared, and tests each
+    point for P = +-w modulo SCAN_PRIME.  Only the points that pass are
+    evaluated exactly, from the exact coefficients head(C, *prefix),
+    formed once per call and only if a point passes.  On a line of every t
+    it takes the coefficients c_j(u) of t^j by Horner in u, tests t = 0
+    once and then each pair +-t at once through the even and odd parts in
+    t: P(u, +-t) = E(t^2) +- t O(t^2).  On a line of t = +-s alone it
+    evaluates P(u, +-s) = A(u) +- B(u), whose coefficients in u it forms
+    once per call.  The a, the c_j(u) and A, B are reduced, so for a
+    quartic up to bound 16 each point costs single-digit integer steps
+    (below 2^30).  The monomials depend only on n, so the code is compiled
     once per degree.
     """
-    monos = tuple(_exponents(n, n))
+    monos = _exponents(n, n)
+    keys = tuple(sum(x * (n + 1) ** i for i, x in enumerate(e))
+                 for e in monos)
     zs = ["z%d" % i for i in range(n - 2)]
     # a[k] is the coefficient of u^i t^j, (j, i) = pairs[k], t-degree first
     pairs = [(j, i) for j in range(n, -1, -1) for i in range(n - j, -1, -1)]
@@ -500,26 +521,37 @@ def _evaluators(n):
     parts = {pr: [] for pr in pairs}
     for k, e in enumerate(monos):
         mono = pre[e[:-2]]
-        parts[e[-1], e[-2]].append("C[%d]*%s" % (k, mono) if mono
-                                   else "C[%d]" % k)
+        parts[e[-1], e[-2]].append("[%d]*%s" % (k, mono) if mono
+                                   else "[%d]" % k)
     names = ["a%d" % k for k in range(len(pairs))]
+    residue = " %% %d" % SCAN_PRIME
+
+    def sums(vec):
+        # the source of each a[k] from the coefficient vector named vec
+        return [" + ".join(vec + x for x in parts[pr]) or "0" for pr in pairs]
 
     def code(lines, indent):
         return "".join(" " * indent + ln + "\n" for ln in lines)
 
     def found(t):
-        return ["if v == w or v == nw:", "    hits.append((u, %s))" % t]
+        return ["if v == r or v == nr:", "    hits.append((u, %s))" % t]
 
     def both(t):
-        return ["v = e + o"] + found(t) + ["v = e - o"] + found("-" + t)
+        return (["v = (e + o)" + residue] + found(t)
+                + ["v = (e - o)" + residue] + found("-" + t))
 
-    # c%d is c_j(u), the coefficient of t^j, named by n - j
-    coeffs = ["c%d = %s" % (n - j, _horner([nm for nm, pr in zip(names, pairs)
-                                           if pr[0] == j], "u"))
-              for j in range(n, -1, -1)]
+    # c%d is c_j(u), the coefficient of t^j, named by n - j, with mod
+    # appended to its source
+    def coeffs(mod):
+        return ["c%d = (%s)%s" % (n - j, _horner(
+                    [nm for nm, pr in zip(names, pairs) if pr[0] == j], "u"),
+                                       mod)
+                for j in range(n, -1, -1)]
+
     even = ["c%d" % (n - j) for j in range(n - n % 2, -1, -2)]
     odd = ["c%d" % (n - j) for j in range(n - 1 + n % 2, 0, -2)]
-    full = (coeffs + ["v = c%d" % n] + found("0") + ["for t, t2 in squares:"]
+    full = (coeffs(residue) + ["v = c%d" % n] + found("0")
+            + ["for t, t2 in squares:"]
             + ["    " + ln for ln in ["e = " + _horner(even, "t2"),
                                       "o = t * (%s)" % _horner(odd, "t2")]
                + both("t")])
@@ -532,31 +564,80 @@ def _evaluators(n):
             terms = [nm + "*s%d" % pr[0] if pr[0] else nm
                      for nm, pr in zip(names, pairs)
                      if pr[1] == i and pr[0] % 2 == parity]
-            ab.append("%s%d = %s" % (x, i, " + ".join(terms)))
+            ab.append("%s%d = (%s)%s" % (x, i, " + ".join(terms), residue))
     ring = ["e = " + _horner(["A%d" % i for i in range(n, -1, -1)], "u"),
             "o = " + _horner(["B%d" % i for i in range(n - 1, -1, -1)], "u")
             ] + both("s")
     unpack = "    %s, = a\n" % ", ".join(names)
     src = ("def head(%s):\n" % ", ".join(["C"] + zs) + code(shared, 4)
-           + "    return (%s,)\n"
-           % ", ".join(" + ".join(parts[pr]) or "0" for pr in pairs)
-           + "def scan(a, us, s, rows, w):\n" + unpack
-           + "    nw = -w\n    hits = []\n"
+           + "    return (%s,)\n" % ", ".join(sums("C"))
+           + "def value(a, u, t):\n" + unpack + code(coeffs(""), 4)
+           + "    return %s\n" % _horner(["c%d" % k for k in range(n + 1)],
+                                          "t")
+           + "def scan(C, R, prefix, us, s, rows, w):\n"
+           + ("    %s, = prefix\n" % ", ".join(zs) if zs else "")
+           + code(shared, 4)
+           + code(["%s = (%s)%s" % (nm, x, residue)
+                   for nm, x in zip(names, sums("R"))], 4)
+           + "    r = w%s\n    nr = -w%s\n" % (residue, residue)
+           + "    hits = []\n"
            + "    squares = [(t, t * t) for t in range(1, s + 1)]\n"
            + "    if not rows:\n        s1 = s\n" + code(spow + ab, 8)
            + "    for u in us:\n"
            + "        if rows or u == s or u == -s:\n" + code(full, 12)
            + "        else:\n" + code(ring, 12)
+           + "    if hits:\n"
+           + "        a = head(C, *prefix)\n"
+           + "        hits = [(u, t) for u, t in hits\n"
+           + "                if value(a, u, t) in (w, -w)]\n"
            + "    return hits\n")
     compiled = {}
     exec(src, compiled)
-    return monos, compiled["head"], compiled["scan"]
+    return keys, compiled["scan"]
 
 
 # The largest search bound colon_and_kappa_search accepts.  The bound sets
 # the work: the box holds ((2B+1)^n - 1)/2 candidates, 138,458,880 for a
 # quartic at B = 64, some 230 times the default box of principality_evidence.
 MAX_SEARCH_BOUND = 64
+
+
+def _norm_hits(coeffs, n, bound, want):
+    """The points z of the search box at which the form of degree n with
+    coefficient vector coeffs on the keys of _evaluators(n) takes the
+    value want or -want, in the walk order of colon_and_kappa_search.
+
+    Each shell s is walked by blocks: a block is a prefix z_0..z_{n-3}, in
+    product order, with u = z_{n-2} and t = z_{n-1} free, so that on it the
+    form is a polynomial in (u, t).  A prefix above zero has u in -s..s,
+    the zero prefix u in 0..s, and a prefix below zero is skipped.  A line
+    u takes every t in -s..s when the prefix or u reaches +-s, and t = +-s
+    otherwise.  The coefficients are reduced modulo SCAN_PRIME once, and
+    one compiled scan per block tests each of its points on those
+    residues, evaluates each point that passes exactly, and returns the
+    points of value +-want, which are yielded in sorted (u, t) order, the
+    walk order within the block.  On the zero prefix the scan also
+    returns (0, ..., 0, -s), the negative of the box point (0, ..., 0, s),
+    when it hits; that point lies outside the box and is dropped.
+    """
+    scan = _evaluators(n)[1]
+    residues = [c % SCAN_PRIME for c in coeffs]
+    zero = (0,) * (n - 2)
+    for s in range(1, bound + 1):
+        full = range(-s, s + 1)
+        for prefix in product(full, repeat=n - 2):
+            if prefix > zero:
+                us = full
+            elif prefix == zero:
+                us = range(s + 1)
+            else:
+                continue
+            rows = s in prefix or -s in prefix
+            for u, t in sorted(scan(coeffs, residues, prefix, us, s, rows,
+                                    want)):
+                if t == -s and not u and prefix == zero:
+                    continue
+                yield prefix + (u, t)
 
 
 def colon_and_kappa_search(l1, l2, bound):
@@ -568,20 +649,9 @@ def colon_and_kappa_search(l1, l2, bound):
     lattice (the as-computed colon basis can be badly skewed, which would
     bury small generators) of sup-norm 1..bound, one of each +- pair: those
     whose first nonzero entry is positive.  They are visited by sup-norm,
-    then in lex order.
-
-    Each shell s is walked by blocks: a block is a prefix z_0..z_{n-3}, in
-    product order, with u = z_{n-2} and t = z_{n-1} free, so that on it the
-    norm form is a polynomial in (u, t).  A prefix above zero has u in
-    -s..s, the zero prefix u in 0..s, and a prefix below zero is skipped.
-    A line u takes every t in -s..s when the prefix or u reaches +-s, and
-    t = +-s otherwise.  One compiled scan per block evaluates the norm
-    form at each of its points, in exact integers, and returns the points
-    of norm +-want; they are confirmed exactly in sorted (u, t) order,
-    which is the order above.  On the zero prefix the scan also returns
-    (0, ..., 0, -s), the negative of the box point (0, ..., 0, s), when it
-    hits; that point lies outside the box and is dropped.  A hit is a
-    proof; exhaustion is inconclusive (None).  A bound outside
+    then in lex order, and only those whose norm form value is +-want, as
+    _norm_hits finds them, are confirmed exactly.  A hit is a proof;
+    exhaustion is inconclusive (None).  A bound outside
     0..MAX_SEARCH_BOUND raises DomainError.
     """
     _same_algebra(l1, l2)
@@ -605,33 +675,14 @@ def colon_and_kappa_search(l1, l2, bound):
     want = ratio * (dd * d) ** n
     if want.denominator != 1:
         return None
-    want = want.numerator
-    monos, head, scan = _evaluators(n)
-    coeffs = [det.get(e, 0) for e in monos]  # det is homogeneous
-    zero = (0,) * (n - 2)
-    for s in range(1, bound + 1):
-        full = range(-s, s + 1)
-        for prefix in product(full, repeat=n - 2):
-            if prefix > zero:
-                us = full
-            elif prefix == zero:
-                us = range(s + 1)
-            else:
-                continue
-            rows = s in prefix or -s in prefix
-            # sorted (u, t) order is the walk order within the block
-            for u, t in sorted(scan(head(coeffs, *prefix), us, s, rows,
-                                    want)):
-                if t == -s and not u and prefix == zero:
-                    continue  # the negative of the box point (0, ..., 0, s)
-                z = prefix + (u, t)
-                kappa = AlgElement(a, [sum(zi * row[j]
-                                           for zi, row in zip(z, col.hnf))
-                                       for j in range(n)], d)
-                if l2.scaled(kappa) == l1:
-                    # -kappa works whenever kappa does; fix the sign of the
-                    # first nonzero power coordinate for a deterministic
-                    # answer
-                    lead = next(c for c in kappa.num if c)
-                    return -kappa if lead < 0 else kappa
+    # det is homogeneous of degree n, so its keys are among _evaluators'
+    coeffs = [det.get(key, 0) for key in _evaluators(n)[0]]
+    for z in _norm_hits(coeffs, n, bound, want.numerator):
+        kappa = AlgElement(a, [sum(zi * row[j] for zi, row in zip(z, col.hnf))
+                               for j in range(n)], d)
+        if l2.scaled(kappa) == l1:
+            # -kappa works whenever kappa does; fix the sign of the first
+            # nonzero power coordinate for a deterministic answer
+            lead = next(c for c in kappa.num if c)
+            return -kappa if lead < 0 else kappa
     return None

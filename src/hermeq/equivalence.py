@@ -299,9 +299,13 @@ def hermite_witness_check(f, g, expr):
 
     expr is an integer polynomial; beta = expr(alpha) must be a root of g
     inside K_f whose power lattice coincides with the power lattice of
-    alpha.  When it does, the change of basis U (rows = powers of beta in
-    powers of alpha) is unimodular and carries [g] to +-[f]; U is returned.
-    Failure of the lattice comparison proves nothing about the pair.
+    alpha.  When it does, the change of basis U (row i = beta^i in the
+    powers of alpha, both ascending) is unimodular and is returned.  It
+    relates the forms through its inverse transpose with the variable
+    order reversed: act_gln(hermite_form(g), R U^-T R) = +-hermite_form(f),
+    R the order-reversing permutation, because hermite_form's variables
+    run over descending powers.  Failure of the lattice comparison proves
+    nothing about the pair.
     """
     f = normalize(f)
     g = normalize(g)

@@ -97,7 +97,18 @@ def laplace_minors(rows, nvars):
 
     Each entry of the leading rows is 0, None or a linear form, a sequence
     of nvars integer coefficients; the remaining rows hold integers.  The
-    expanded determinant is a dict from exponent tuples to coefficients.
+    expanded determinant is a dict from exponent tuples to coefficients:
+    packed_minors(rows) with its keys unpacked.
+    """
+    terms, b = packed_minors(rows)
+    return {unpack_exponents(key, nvars, b): v for key, v in terms.items()
+            if v}
+
+
+def packed_minors(rows):
+    """(terms, b): the determinant of laplace_minors with each exponent
+    tuple e packed into the key sum e_i * b^i, b = k + 1 for k leading
+    linear rows.  A coefficient that cancels to zero may be kept.
 
     Generalized Laplace along the k linear rows: the determinant is the sum
     over k-sets S of columns of the minor of the linear rows on S times the
@@ -115,10 +126,9 @@ def laplace_minors(rows, nvars):
     k = max((r + 1 for r, row in enumerate(rows)
              if not all(isinstance(a, int) for a in row)), default=0)
     ints = rows[k:]
-    if not k:
-        d = det_bareiss(ints)
-        return {(0,) * nvars: d} if d else {}
     b = k + 1
+    if not k:
+        return {0: det_bareiss(ints)}, b
     steps = [[[(b ** i, x) for i, x in enumerate(a or ()) if x] for a in row]
              for row in rows[:k]]
     level = {0: {0: 1}}
@@ -149,7 +159,7 @@ def laplace_minors(rows, nvars):
             if bin(mask >> c).count("1") & 1:
                 w = -w
             _mul_add(out, poly, lin, w)
-    return {unpack_exponents(key, nvars, b): v for key, v in out.items() if v}
+    return out, b
 
 
 def hermite_form(f):

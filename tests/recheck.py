@@ -14,6 +14,12 @@ the one that produced it:
   Here f and g are the paper's formulas evaluated in sympy from the kit,
   and U is checked to carry [g] to +-[f] on the forms of both routes,
   hermite_form and norm_form.
+- recheck_principal_evidence: `quartic principal-evidence` finds kappa
+  by a residue scan of the colon lattice's norm form and confirms it by
+  an HNF comparison of lattices.  Here kappa * R_f = I_f is re-proved in
+  sympy from the printed coordinates alone: both bases are built from
+  the definition of zeta_i, and the rational change of basis from I_f to
+  kappa * R_f must be an integer matrix of determinant +-1.
 """
 
 import json
@@ -98,3 +104,36 @@ def recheck_family_gen(out):
     nf, ng = (norm_form(zeta_lattice(p, n - 1), invariant_order(p))
               for p in (f, g))
     assert act_gln(ng, transpose(inv)) in (nf, -nf)
+
+
+def recheck_principal_evidence(poly, bound, out):
+    """A principal answer's generator kappa, read from its printed power
+    coordinates, carries R_f onto I_f: with R_f on 1, zeta_1, ..., zeta_3
+    and I_f on 1, alpha, zeta_2, zeta_3, zeta_i = f_0 alpha^i + ... +
+    f_(i-1) alpha (f_0 the leading coefficient), the products kappa b_i
+    reduced modulo f are the rows of M, and M B^-1, B the rows of I_f's
+    basis, is integral with determinant +-1."""
+    doc = json.loads(out)
+    assert doc["status"] == "principal", doc
+    assert doc["orientation"] in ("direct", "inverse"), doc
+    assert doc["bound"] == bound, doc
+    x = sympy.Symbol("x")
+    n = len(poly) - 1
+    f = sympy.Poly(list(reversed(poly)), x, domain="QQ")
+    desc = list(reversed(poly))  # f_0, f_1, ..., f_n
+
+    def zeta(i):
+        return sum(desc[j] * x ** (i - j) for j in range(i))
+
+    def row(e):
+        r = sympy.Poly(e, x, domain="QQ").rem(f).all_coeffs()[::-1]
+        return list(r) + [0] * (n - len(r))
+
+    kappa = sum(sympy.Rational(c) * x ** i
+                for i, c in enumerate(doc["generator"]["coords"]))
+    order = [sympy.Integer(1)] + [zeta(i) for i in range(1, n)]
+    ideal = [sympy.Integer(1), x] + [zeta(i) for i in range(2, n)]
+    m = sympy.Matrix([row(kappa * b) for b in order])
+    change = m * sympy.Matrix([row(b) for b in ideal]).inv()
+    assert all(v.is_integer for v in change), change
+    assert change.det() in (1, -1), change

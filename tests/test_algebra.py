@@ -6,13 +6,14 @@ from math import gcd, lcm
 import pytest
 
 from hermeq import intpoly
-from hermeq.algebra import (MAX_SEARCH_BOUND, AlgElement, EtaleAlgebra,
-                            IdealLattice, _evaluators, _int_nth_root,
-                            colon_and_kappa_search, colon_lattice, elem_mul,
-                            invariant_order, is_order, lattice_equal,
-                            lattice_mul, lattice_norm, norm_form,
-                            trace_form_disc, zeta_lattice)
-from hermeq.forms import DecomposableForm, hermite_form
+from hermeq.algebra import (MAX_SEARCH_BOUND, SCAN_PRIME, AlgElement,
+                            EtaleAlgebra, IdealLattice, _evaluators,
+                            _int_nth_root, _norm_hits, colon_and_kappa_search,
+                            colon_lattice, elem_mul, invariant_order,
+                            is_order, lattice_equal, lattice_mul,
+                            lattice_norm, norm_form, trace_form_disc,
+                            zeta_lattice)
+from hermeq.forms import DecomposableForm, hermite_form, unpack_exponents
 from hermeq.intmat import hnf_lattice, inverse_rational, mat_mul
 from hermeq.intpoly import DomainError
 from oracles import (basis_elements, dual_lattice, form_value, lines, power,
@@ -730,16 +731,17 @@ def test_compiled_evaluators_match_direct_evaluation():
         exps = [e for e in itertools.product(range(n + 1), repeat=n)
                 if sum(e) == n]
         form = DecomposableForm(n, {e: rng.randint(-40, 40) for e in exps})
-        monos, head, scan = _evaluators(n)
+        keys, scan = _evaluators(n)
+        monos = [unpack_exponents(key, n, n + 1) for key in keys]
         assert sorted(monos) == exps
         coeffs = [form.terms.get(e, 0) for e in monos]
+        residues = [c % SCAN_PRIME for c in coeffs]
         points = 0
         # a block: the lines of one shell s (every line holds t = s)
         # that share a prefix
         for (s, prefix), block in itertools.groupby(
                 lines(n, 2), key=lambda l: (max(l[1]), l[0][:-1])):
             block = list(block)
-            h = head(coeffs, *prefix)
             covered = [(p[-1], t) for p, ts in block for t in ts]
             points += len(covered)
             if not any(prefix):
@@ -750,11 +752,13 @@ def test_compiled_evaluators_match_direct_evaluation():
             rows = s in prefix or -s in prefix
             for w in set(value.values()):
                 for sign in (1, -1):
-                    hits = scan(h, us, s, rows, sign * w)
+                    hits = scan(coeffs, residues, prefix, us, s, rows,
+                                sign * w)
                     assert len(hits) == len(set(hits))
                     assert set(hits) == {pt for pt in covered
                                          if value[pt] == w}, (n, prefix, w)
-            assert scan(h, us, s, rows, max(value.values()) + 1) == []
+            assert scan(coeffs, residues, prefix, us, s, rows,
+                        max(value.values()) + 1) == []
         assert points == (5 ** n - 1) // 2
 
 
@@ -768,8 +772,10 @@ def test_scan_matches_brute_force():
         exps = [e for e in itertools.product(range(n + 1), repeat=n)
                 if sum(e) == n]
         form = DecomposableForm(n, {e: rng.randint(-30, 30) for e in exps})
-        monos, head, scan = _evaluators(n)
-        coeffs = [form.terms.get(e, 0) for e in monos]
+        keys, scan = _evaluators(n)
+        coeffs = [form.terms.get(unpack_exponents(key, n, n + 1), 0)
+                  for key in keys]
+        residues = [c % SCAN_PRIME for c in coeffs]
         for s in range(1, 4):
             full = range(-s, s + 1)
             inner = range(1 - s, s)
@@ -780,18 +786,74 @@ def test_scan_matches_brute_force():
                      ((0,) * (n - 2), range(s + 1), False)]
             for prefix, us, rows in kinds:
                 prefix = prefix[:n - 2]
-                h = head(coeffs, *prefix)
                 values = {form_value(form, prefix + (u, t)) for u in us
                           for t in (full if rows or abs(u) == s else (-s, s))}
+                block = (coeffs, residues, prefix, us, s, rows)
                 for v in values:
-                    assert scan(h, us, s, rows, v), (n, s, prefix, rows, v)
-                    assert scan(h, us, s, rows, -v), (n, s, prefix, rows, v)
+                    assert scan(*block, v), (n, s, prefix, rows, v)
+                    assert scan(*block, -v), (n, s, prefix, rows, v)
                 top = max(map(abs, values))
                 absent = [w for w in range(top + 3) if w not in values
                           and -w not in values]
                 assert absent
                 for w in absent[:5] + absent[-5:]:
-                    assert not scan(h, us, s, rows, w), (n, s, prefix, w)
+                    assert not scan(*block, w), (n, s, prefix, w)
+
+
+def test_residue_scan_hit_list_matches_brute_force():
+    # The walk's ordered hit list against the box's exact values, term by
+    # term, at n = 2..5 and bounds 1..4, on residue adversaries: a form
+    # with every coefficient = 0 (mod SCAN_PRIME), so that for a want
+    # = 0 (mod SCAN_PRIME) every point passes the residue test; a form
+    # tuned so that its value at a point z0 is = 0 (mod SCAN_PRIME), so
+    # that want = -want there; wants one SCAN_PRIME away from a value,
+    # which that value's point matches by residue and not by value; and
+    # the value at (0, ..., 0, 1), a hit of the zero-prefix block whose
+    # negative (0, ..., 0, -1) the scan also returns
+    rng = random.Random(53)
+    p = SCAN_PRIME
+    for n in range(2, 6):
+        keys, _ = _evaluators(n)
+        monos = [unpack_exponents(key, n, n + 1) for key in keys]
+        top = (0,) * (n - 1) + (n,)  # the t^n term, the value at (0, ..., 1)
+        box = box_reference(n, 4)
+        z0 = box[rng.randrange(len(box))][:-1] + (1,)
+
+        def draw(scale):
+            # n = 5 keeps about a fifth of its 126 terms, for a quick
+            # brute force
+            terms = {e: scale * rng.randint(-9, 9) for e in monos
+                     if n < 5 or rng.random() < 0.2}
+            terms[top] = scale * rng.randint(1, 9)
+            return terms
+
+        zeros = draw(p)
+        tuned = draw(1)
+        # z0's last coordinate is 1, so the t^n term moves its value by 1:
+        # make that value SCAN_PRIME
+        tuned[top] += p - form_value(DecomposableForm(n, tuned), z0)
+        for terms in (zeros, tuned):
+            form = DecomposableForm(n, terms)
+            values = {z: form_value(form, z) for z in box}
+            picks = [abs(values[box[rng.randrange(len(box))]])
+                     for _ in range(2)]
+            wants = picks + [abs(values[box[0]]), p * 10 ** 6 + p]
+            if terms is zeros:
+                assert all(v % p == 0 for v in values.values())
+            else:
+                assert values[z0] == p
+                wants += [p] + [w + p for w in picks]
+                assert any(values[z] % p in (w % p, -w % p)
+                           and abs(values[z]) != w
+                           for w in wants for z in box), n
+            assert box[0] == (0,) * (n - 1) + (1,)
+            coeffs = [form.terms.get(e, 0) for e in monos]
+            for w in wants:
+                for bound in range(1, 5):
+                    want = [z for z in box if max(map(abs, z)) <= bound
+                            and abs(values[z]) == w]
+                    assert list(_norm_hits(coeffs, n, bound, w)) == want, \
+                        (n, bound, w)
 
 
 @pytest.mark.parametrize("f, base, bound, count", [

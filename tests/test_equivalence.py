@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -14,13 +15,15 @@ from hermeq.equivalence import (ContentMismatchError, DegenerateSystemError,
                                 reducible_pair, z_equiv_test)
 from hermeq.algebra import AlgElement, EtaleAlgebra, product_rows
 from hermeq.cli import main
+from hermeq.forms import act_gln, hermite_form
 from hermeq.intmat import (adjugate_solve, det_bareiss, hnf_lattice, identity,
-                           mat_mul)
+                           mat_mul, transpose)
 from hermeq.intpoly import DomainError, discriminant, normalize, poly_scale
 from hermeq.jsonio import load_table
 from oracles import adjugate, charpoly, partition_two_way
 
 X = sympy.symbols("x")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 QUARTIC = [1, 2, -4, -1, 1]  # X^4 - X^3 - 4X^2 + 2X + 1
 QUARTIC_BETAS = [(-4, 0, 1), (-2, 1, 0), (-1, 2, 0), (0, -1, 1), (1, 0, 0),
@@ -684,6 +687,35 @@ def test_z_equivalent_pairs_pass_hermite_check():
         u = hermite_witness_check(f, g, [-e * a, e])
         assert u is not None
         assert det_bareiss(u) in (1, -1)
+
+
+def test_hermite_witness_relates_the_forms_as_documented():
+    # act_gln(hermite_form(g), R U^-T R) = +-hermite_form(f), R reversing
+    # the variable order, while U itself does not carry [g] to +-[f]; on
+    # the README's example, z-equivalent pairs and reducible pairs
+    readme = open(os.path.join(ROOT, "README.md"), encoding="utf-8").read()
+    block = readme.split("```python\n")[1].split("```")[0]
+    scope = {}
+    exec(block, scope)
+    cases = [(scope["f"], scope["g"], scope["u"])]
+    rng = random.Random(77)
+    while len(cases) < 8:
+        n = rng.randint(3, 5)
+        f = normalize([rng.randint(-5, 5) for _ in range(n)] + [1])
+        if len(f) != n + 1 or discriminant(f) == 0:
+            continue
+        a = rng.choice([a for a in range(-4, 5) if a])
+        g = _translate(f, 1, a)
+        cases.append((f, g, hermite_witness_check(f, g, [-a, 1])))
+    for f in ([1, -1, 0, 1], [1, 1, 0, 0, 1]):
+        g, h, q, u = reducible_pair(f)
+        cases.append((g, h, u))
+    for f, g, u in cases:
+        det = det_bareiss(u)
+        inv_t = [[det * v for v in row] for row in transpose(adjugate(u))]
+        hf, hg = hermite_form(f), hermite_form(g)
+        assert act_gln(hg, [row[::-1] for row in inv_t[::-1]]) in (hf, -hf)
+        assert act_gln(hg, u) not in (hf, -hf), (f, g)
 
 
 def test_reducible_pair_cubic():

@@ -1,10 +1,13 @@
 import json
+import random
 
 import pytest
+import sympy
 
 from hermeq.cli import main
 from hermeq.jsonio import load_table
-from recheck import recheck_family_gen, recheck_gl2
+from recheck import (recheck_family_gen, recheck_gl2,
+                     recheck_principal_evidence)
 
 
 def _stdout(capsys, argv):
@@ -54,3 +57,58 @@ def test_recheck_refuses_a_tampered_witness(capsys):
                 dict(doc, witness=[u[1], u[0]] + u[2:])):
         with pytest.raises(AssertionError):
             recheck_family_gen(json.dumps(bad))
+
+
+def _evidence(capsys, poly, bound):
+    code = main(["quartic", "principal-evidence", "--poly", json.dumps(poly),
+                 "--bound", str(bound)])
+    return code, capsys.readouterr().out
+
+
+def _nonmonic_quartics(seed, count):
+    # leading coefficient 2..4, the others in -4..4, discriminant nonzero
+    x = sympy.Symbol("x")
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        f = [rng.randint(-4, 4) for _ in range(4)] + [rng.randint(2, 4)]
+        if sympy.discriminant(sum(c * x ** i for i, c in enumerate(f)), x):
+            out.append(f)
+    return out
+
+
+def test_principal_evidence_rechecks_from_stdout(capsys):
+    # the paper's F at the default bound, four monic quartics, and every
+    # principal answer for sixteen seeded nonmonic quartics at bounds 3-6
+    cases = [([255, 13, -62, -1, 4], 16)]
+    cases += [(f, 3) for f in ([1, 0, 0, 0, 1], [-2, 1, 0, 0, 1],
+                               [3, -1, 2, -5, 1], [-7, 4, -3, 0, 1])]
+    cases += [(f, b) for f in _nonmonic_quartics(2611, 16)
+              for b in range(3, 7)]
+    seen = {"direct": 0, "inverse": 0, "inconclusive": 0}
+    for poly, bound in cases:
+        code, out = _evidence(capsys, poly, bound)
+        if code == 1:
+            assert json.loads(out)["status"] == "inconclusive"
+            assert poly[-1] != 1, poly
+            seen["inconclusive"] += 1
+            continue
+        assert code == 0, (poly, bound)
+        recheck_principal_evidence(poly, bound, out)
+        seen[json.loads(out)["orientation"]] += 1
+    assert seen == {"direct": 42, "inverse": 2, "inconclusive": 25}, seen
+
+
+def test_principal_evidence_recheck_refuses_a_tampered_generator(capsys):
+    poly = [255, 13, -62, -1, 4]
+    code, out = _evidence(capsys, poly, 16)
+    doc = json.loads(out)
+    coords = doc["generator"]["coords"]
+    for bad in ([coords[1], coords[0]] + coords[2:],
+                ["-371"] + coords[1:],
+                [str(2 * int(c)) for c in coords]):
+        with pytest.raises(AssertionError):
+            recheck_principal_evidence(poly, 16, json.dumps(
+                dict(doc, generator={"coords": bad})))
+    with pytest.raises(AssertionError):
+        recheck_principal_evidence(poly, 12, out)
