@@ -7,7 +7,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 
 from .forms import (DecomposableForm, check_form_size, packed_minors,
                     unpack_exponents)
@@ -436,19 +436,6 @@ def norm_form(l, o):
     return DecomposableForm(n, terms)
 
 
-def _int_nth_root(v, n):
-    """The integer r >= 0 with r**n == v, or None; exact at any size."""
-    if v < 2:
-        return v if v >= 0 else None
-    r = isqrt(v) if n == 2 else 1 << -(-v.bit_length() // n)
-    while n > 2:  # integer Newton from above: 2^ceil(bits/n) > v^(1/n)
-        y = ((n - 1) * r + v // r ** (n - 1)) // n
-        if y >= r:
-            break
-        r = y
-    return r if r ** n == v else None
-
-
 def _exponents(nvars, deg):
     # the exponent vectors of total degree deg in nvars variables
     if nvars == 1:
@@ -663,10 +650,11 @@ def colon_and_kappa_search(l1, l2, bound):
     a = l1.algebra
     n = a.n
     ratio = l1.covolume() / l2.covolume()
-    p = _int_nth_root(ratio.numerator, n)
-    q = _int_nth_root(ratio.denominator, n)
-    if p is not None and q is not None:
-        kappa = AlgElement(a, [p] + [0] * (n - 1), q)
+    # a rational kappa > 0 with kappa * l2 = l1 scales the ideal of first
+    # coordinates, which the first HNF pivot generates
+    k = Fraction(l1.hnf[0][0] * l2.denominator, l2.hnf[0][0] * l1.denominator)
+    if k ** n == ratio:
+        kappa = AlgElement(a, [k.numerator] + [0] * (n - 1), k.denominator)
         if l2.scaled(kappa) == l1:
             return kappa
     col = colon_lattice(l1, l2)

@@ -263,14 +263,10 @@ def find_params(n, search_limit=10 ** 6, monic=False):
     if monic:
         c = 1
     else:
-        c = None
-        for q in primes_in_progression(1, n * p):
-            if q > search_limit:
-                raise SearchLimitError(
-                    "no prime c = 1 mod %d below %d" % (n * p, search_limit))
-            if q != 1:
-                c = q
-                break
+        c = next(primes_in_progression(1, n * p))
+        if c > search_limit:
+            raise SearchLimitError(
+                "no prime c = 1 mod %d below %d" % (n * p, search_limit))
     resid = (-pow(cat, -1, p)) % p
     t = None
     for q in primes_in_progression(resid, p):

@@ -1,6 +1,6 @@
-# Exact dense matrix kernels: fraction-free determinants, row-style Hermite
-# normal form (hnf with its transformation matrix, hnf_lattice without) and
-# fraction-free adjugate solves.
+# Exact dense matrix kernels: one fraction-free Bareiss elimination, for
+# determinants and adjugate solves, and row-style Hermite normal form (hnf
+# with its transformation matrix, hnf_lattice without).
 #
 # Matrices are lists of row lists.  Nothing here is optimized for size; every
 # matrix in this package is tiny (dimension at most a few dozen) and the only
@@ -57,18 +57,16 @@ def mat_mul(a, b):
     return out
 
 
-def det_bareiss(m):
-    """Exact determinant of an integer matrix by fraction-free Bareiss
-    elimination; every division it makes is exact."""
-    r, c = mat_dims(m)
-    if r != c:
-        raise DimensionError("determinant needs a square matrix")
-    n = r
+def _bareiss(a, n):
+    """Forward fraction-free Bareiss elimination, in place, on the first n
+    columns of the n rows a; columns past n follow along.  Returns the
+    signed determinant of the leading n x n block, or 0 when a column has
+    no pivot.  Every division it makes is exact."""
     if n == 0:
         return 1
-    a = mat_copy(m)
     sign = 1
     prev = 1
+    w = len(a[0])
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
@@ -79,7 +77,7 @@ def det_bareiss(m):
             else:
                 return 0
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, w):
                 q, rem = divmod(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
                 if rem:
                     raise AssertionError("Bareiss division not exact")
@@ -87,6 +85,15 @@ def det_bareiss(m):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def det_bareiss(m):
+    """Exact determinant of an integer matrix by fraction-free Bareiss
+    elimination."""
+    r, c = mat_dims(m)
+    if r != c:
+        raise DimensionError("determinant needs a square matrix")
+    return _bareiss(mat_copy(m), r)
 
 
 def det_cofactor(m):
@@ -137,42 +144,34 @@ def adjugate_solve(m, b):
     """(det(m), adj(m) b) for a square integer matrix m and an integer
     matrix b with as many rows, or (0, None) when m is singular.
 
-    One fraction-free Gauss-Jordan pass on [m | b]: after the step on
-    column k every other row is replaced by (p r - r[k] pivot_row) / prev,
-    an exact division (Bareiss), and the left block ends as p I with p the
-    last pivot, which is det(m) up to the sign of the row swaps.
+    The forward Bareiss pass on [m | b] leaves U x = c with x = m^-1 b and
+    U upper triangular, so y = det(m) x = adj(m) b, an integer matrix,
+    comes by back substitution: y_i = (det c_i - sum_{j>i} U_ij y_j) / U_ii,
+    an exact division.
     """
     n, c = mat_dims(m)
     if n != c or len(b) != n:
         raise DimensionError("adjugate_solve needs a square m and as many "
                              "rows in b")
     a = [list(r) + list(rb) for r, rb in zip(m, b)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0, None
-        pivot = a[k]
-        p = pivot[k]
-        for i in range(n):
-            if i != k:
-                row = a[i]
-                x = row[k]
-                new = []
-                for u, v in zip(row, pivot):
-                    q, rem = divmod(p * u - x * v, prev)
-                    if rem:
-                        raise AssertionError("Bareiss division not exact")
-                    new.append(q)
-                a[i] = new
-        prev = p
-    return sign * prev, [[sign * x for x in r[n:]] for r in a]
+    det = _bareiss(a, n)
+    if det == 0:
+        return 0, None
+    y = [None] * n
+    for i in range(n - 1, -1, -1):
+        u = a[i]
+        acc = [det * v for v in u[n:]]
+        for j in range(i + 1, n):
+            x = u[j]
+            if x:
+                acc = [s - x * t for s, t in zip(acc, y[j])]
+        y[i] = []
+        for s in acc:
+            q, rem = divmod(s, u[i])
+            if rem:
+                raise AssertionError("back substitution not exact")
+            y[i].append(q)
+    return det, y
 
 
 def _hnf_echelon(h, c):

@@ -6,9 +6,17 @@ the one that produced it:
 
 - recheck_gl2: `check-gl2` solves a linear system in the power basis of
   beta_i and signs the witness by the translate's leading coefficient.
-  Here the Moebius relation is re-derived by products and an inverse in
-  K_f, and the sign by expanding gl2_act on the minimal polynomial of
-  beta_i, the characteristic polynomial of its multiplication matrix.
+  Here the Moebius relation is re-derived by products alone in K_f, with
+  no inverse (an inverse would run the adjugate solve check-gl2 runs),
+  and the sign by expanding gl2_act on the minimal polynomial of beta_i,
+  the characteristic polynomial of its multiplication matrix.
+- recheck_hermite: `check-hermite` and `reducible-pair` take U from the
+  power lattice of a root of g in K_f.  Here U^-1 is the cofactor
+  adjugate of oracles.py, and U is checked to carry [g] to +-[f] on
+  hermite_form.
+- recheck_z: `check-z` forces a by the X^(n-1) coefficients and composes
+  f with eX + a in hermeq's polynomial arithmetic.  Here e^n f(eX + a) is
+  expanded in sympy.
 - recheck_family_gen: `family gen` builds f and g from the weight-
   normalized pair and certifies U by the invariant-lattice criterion.
   Here f and g are the paper's formulas evaluated in sympy from the kit,
@@ -23,6 +31,7 @@ the one that produced it:
 """
 
 import json
+from fractions import Fraction
 
 import sympy
 
@@ -40,8 +49,9 @@ def _ints(values):
 
 
 def recheck_gl2(poly, beta, target, out):
-    """beta_j - (a beta_i + b)/(c beta_i + d) is a rational integer, and the
-    sign is that of the leading coefficient of the translate of the
+    """(a beta_i + b) - beta_j (c beta_i + d) = w (c beta_i + d) for one
+    rational integer w, so (a beta_i + b)/(c beta_i + d) - beta_j = w; and
+    the sign is that of the leading coefficient of the translate of the
     minimal polynomial of beta_i (+1 where it vanishes)."""
     doc = json.loads(out)
     assert doc["related"] is True, doc
@@ -51,8 +61,12 @@ def recheck_gl2(poly, beta, target, out):
     alg = EtaleAlgebra(poly)
     bi = alg.element([0] + list(beta))
     bj = alg.element([0] + list(target))
-    diff = (a * bi + b) * (c * bi + d).inverse() - bj
-    assert diff.den == 1 and not any(diff.num[1:]), (gamma, diff)
+    den = c * bi + d
+    rest = a * bi + b - bj * den
+    # w from the first nonzero coordinate of den, then checked on all
+    k = next(i for i, v in enumerate(den.num) if v)
+    w = Fraction(rest.num[k] * den.den, den.num[k] * rest.den)
+    assert w.denominator == 1 and rest == int(w) * den, (gamma, rest, den)
     rows, x = [], bi
     for _ in range(alg.n):
         rows.append(list(x.num))
@@ -84,6 +98,18 @@ def _flip(m):
     return [row[::-1] for row in m[::-1]]
 
 
+def _carries_hermite_forms(f, g, u):
+    # U is unimodular and act_gln(hermite_form(g), R U^-T R) is
+    # +-hermite_form(f); returns U^-1
+    adj = adjugate(u)
+    det = sum(u[0][j] * adj[j][0] for j in range(len(u)))
+    assert det in (1, -1), u
+    inv = [[det * v for v in row] for row in adj]
+    hf, hg = hermite_form(f), hermite_form(g)
+    assert act_gln(hg, transpose(_flip(inv))) in (hf, -hf), u
+    return inv
+
+
 def recheck_family_gen(out):
     """f and g are paper_pair(n, c, t), and U^-T carries [g] to +-[f]: on
     hermite_form, whose variables run over descending powers, through the
@@ -95,15 +121,45 @@ def recheck_family_gen(out):
     assert _ints(doc["f"]["coeffs"]) == f, (doc["f"], f)
     assert _ints(doc["g"]["coeffs"]) == g, (doc["g"], g)
     u = [_ints(row) for row in doc["witness"]]
-    adj = adjugate(u)
-    det = sum(u[0][j] * adj[j][0] for j in range(n))
-    assert det in (1, -1), u
-    inv = [[det * v for v in row] for row in adj]
-    hf, hg = hermite_form(f), hermite_form(g)
-    assert act_gln(hg, transpose(_flip(inv))) in (hf, -hf)
+    inv = _carries_hermite_forms(f, g, u)
     nf, ng = (norm_form(zeta_lattice(p, n - 1), invariant_order(p))
               for p in (f, g))
     assert act_gln(ng, transpose(inv)) in (nf, -nf)
+
+
+def recheck_hermite(f, g, out):
+    """The printed U of `check-hermite --poly f --other g`, or of
+    `reducible-pair` whose printed pair is (f, g), is unimodular and
+    act_gln(hermite_form(g), R U^-T R) = +-hermite_form(f), R the
+    order-reversing permutation: hermite_form's variables run over
+    descending powers, U's rows over ascending ones."""
+    doc = json.loads(out)
+    if "equivalent" in doc:
+        assert doc["equivalent"] is True, doc
+    else:
+        assert (_ints(doc["g"]["coeffs"]), _ints(doc["h"]["coeffs"])) \
+            == (list(f), list(g)), doc
+    _carries_hermite_forms(f, g, [_ints(row) for row in doc["witness"]])
+
+
+def recheck_z(f, g, out):
+    """The printed (e, a) has e = +-1 and g(X) = e^n f(eX + a), expanded in
+    sympy."""
+    doc = json.loads(out)
+    assert doc["equivalent"] is True, doc
+    e, a = int(doc["witness"]["e"]), int(doc["witness"]["a"])
+    assert e in (1, -1), doc
+    got = affine_image(f, e, a)
+    assert got == list(g), (doc, got)
+
+
+def affine_image(f, e, a):
+    """e^n f(eX + a) for f of degree n, ascending integer coefficients,
+    expanded in sympy."""
+    x = sympy.Symbol("x")
+    p = sympy.Poly(e ** (len(f) - 1)
+                   * sum(c * (e * x + a) ** i for i, c in enumerate(f)), x)
+    return _ints(reversed(p.all_coeffs()))
 
 
 def recheck_principal_evidence(poly, bound, out):

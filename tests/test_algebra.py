@@ -8,11 +8,10 @@ import pytest
 from hermeq import intpoly
 from hermeq.algebra import (MAX_SEARCH_BOUND, SCAN_PRIME, AlgElement,
                             EtaleAlgebra, IdealLattice, _evaluators,
-                            _int_nth_root, _norm_hits, colon_and_kappa_search,
-                            colon_lattice, elem_mul, invariant_order,
-                            is_order, lattice_equal, lattice_mul,
-                            lattice_norm, norm_form, trace_form_disc,
-                            zeta_lattice)
+                            _norm_hits, colon_and_kappa_search, colon_lattice,
+                            elem_mul, invariant_order, is_order,
+                            lattice_equal, lattice_mul, lattice_norm,
+                            norm_form, trace_form_disc, zeta_lattice)
 from hermeq.forms import DecomposableForm, hermite_form, unpack_exponents
 from hermeq.intmat import hnf_lattice, inverse_rational, mat_mul
 from hermeq.intpoly import DomainError
@@ -638,18 +637,25 @@ def test_kappa_search_rejects_a_bound_over_the_cap():
     assert colon_and_kappa_search(u, u, MAX_SEARCH_BOUND) == a.one()
 
 
-def test_int_nth_root_is_exact_for_large_values():
-    big = 10 ** 20 + 7
-    assert _int_nth_root(big ** 4, 4) == big
-    assert _int_nth_root(big ** 2, 2) == big
-    assert _int_nth_root(10 ** 400, 4) == 10 ** 100
-    assert _int_nth_root(10 ** 400, 2) == 10 ** 200
-    assert _int_nth_root(10 ** 400, 3) is None
-    assert _int_nth_root(big ** 4 + 1, 4) is None
-    assert _int_nth_root(big ** 2 - 1, 2) is None
-    assert _int_nth_root(17, 2) is None
-    assert _int_nth_root(0, 5) == 0 and _int_nth_root(1, 3) == 1
-    assert _int_nth_root(-8, 3) is None
+def test_kappa_search_reads_a_scalar_kappa_off_the_first_hnf_pivots():
+    # at bound 0 only the scalar shortcut can answer; kappa at the sizes
+    # the exact n-th roots of the covolume ratio were once tested at
+    for f in ([-3, 1, 2], [7, 5, 3, 2], [2, -1, 0, 5, 3],
+              [1, 1, -2, 0, 0, 5]):
+        b = EtaleAlgebra(f)
+        l = zeta_lattice(f, 0, b)
+        for k in (Fraction(10 ** 20 + 7, 3), Fraction(10 ** 100),
+                  Fraction(5, 7 ** 30)):
+            kappa = AlgElement(b, [k.numerator] + [0] * (b.n - 1),
+                               k.denominator)
+            assert colon_and_kappa_search(l.scaled(kappa), l, 0) == kappa
+    # equal covolumes and equal first pivots, yet no scalar multiple
+    a = EtaleAlgebra(GAUSS)
+    l1 = IdealLattice(a, [[1, 0], [0, 2]])
+    l2 = IdealLattice(a, [[1, 1], [0, 2]])
+    assert l1.covolume() == l2.covolume() and l1 != l2
+    assert l1.hnf[0][0] == l2.hnf[0][0]
+    assert colon_and_kappa_search(l1, l2, 0) is None
 
 
 def box_reference(n, bound):

@@ -267,6 +267,14 @@ def test_adjugate_gives_det_times_identity():
 
 
 def test_adjugate_solve_gives_det_and_adjugate_times_b():
+    def check(m, b):
+        det, x = intmat.adjugate_solve(m, b)
+        assert det == det_cofactor(m)
+        if det:  # a b with no columns gives [[], ...]
+            assert x == intmat.mat_mul(adjugate(m), b)
+        else:
+            assert x is None
+
     rng = random.Random(29)
     for n in range(1, 7):
         for t in range(8):
@@ -275,13 +283,28 @@ def test_adjugate_solve_gives_det_and_adjugate_times_b():
                 m[-1] = list(m[0]) if n > 1 and t == 0 else [0] * n
             if t == 2:  # a zero leading entry forces a row swap
                 m[0][0] = 0
-            b = rand_mat(rng, n, rng.randint(1, 4))
-            det, x = intmat.adjugate_solve(m, b)
-            assert det == det_cofactor(m)
-            if det:
-                assert x == intmat.mat_mul(adjugate(m), b)
-            else:
-                assert x is None
+            check(m, rand_mat(rng, n, rng.randint(1, 4)))
+    for n in range(2, 9):
+        big = 10 ** 60
+        check(rand_mat(rng, n, n), rand_mat(rng, n, 2))  # n up to 8
+        m = rand_mat(rng, n, n, -big, big)  # 60-digit entries
+        check(m, rand_mat(rng, n, 3, -big, big))
+        check(m, [[] for _ in m])  # b with no columns
+        if n > 2:
+            # row 1 (and row 2) agree with multiples of the rows above on
+            # their first 2 (3) columns, so the pivot at k = 1 (k = 2) is
+            # zero only after elimination and forces a row swap there
+            for k in (1, 2)[:n - 2]:
+                m = rand_mat(rng, n, n)
+                m[k] = [3 * x - y for x, y in zip(m[0], m[k - 1])][:k + 1] \
+                    + m[k][k + 1:]
+                check(m, rand_mat(rng, n, 2))
+        for upper in (True, False):  # the shapes colon_lattice solves
+            m = [[x if (j >= i) == upper else 0 for j, x in enumerate(r)]
+                 for i, r in enumerate(rand_mat(rng, n, n, 1, 9))]
+            check(m, rand_mat(rng, n, 2))
+            m[n // 2][n // 2] = 0  # singular
+            check(m, rand_mat(rng, n, 2))
     with pytest.raises(intmat.DimensionError):
         intmat.adjugate_solve([[1, 2], [3, 4]], [[1]])
 

@@ -6,8 +6,10 @@ import sympy
 
 from hermeq.cli import main
 from hermeq.jsonio import load_table
-from recheck import (recheck_family_gen, recheck_gl2,
-                     recheck_principal_evidence)
+from hermeq.pairfamilies import (PAIR_EXPR, quartic_pair, quartic_samples,
+                                 quintic_pair, quintic_samples)
+from recheck import (affine_image, recheck_family_gen, recheck_gl2,
+                     recheck_hermite, recheck_principal_evidence, recheck_z)
 
 
 def _stdout(capsys, argv):
@@ -57,6 +59,87 @@ def test_recheck_refuses_a_tampered_witness(capsys):
                 dict(doc, witness=[u[1], u[0]] + u[2:])):
         with pytest.raises(AssertionError):
             recheck_family_gen(json.dumps(bad))
+
+
+def _verdict_pairs(seed):
+    # the affirmative check-z and check-hermite queries of a cli_verdicts
+    # style set: g = e^n f(eX + a), monic f of height 12 for check-z, f
+    # of height 9, content 1 and nonzero discriminant for check-hermite,
+    # whose root of g in K_f is e(alpha - a)
+    x = sympy.Symbol("x")
+    rng = random.Random(seed)
+    z, hermite = [], []
+    for i in range(10):
+        f = [rng.randint(-12, 12) for _ in range(3 + i % 4)] + [1]
+        e, a = rng.choice([1, -1]), rng.randint(-9, 9)
+        z.append((f, affine_image(f, e, a)))
+    while len(hermite) < 8:
+        n = 3 + len(hermite) % 3
+        f = [rng.randint(-9, 9) for _ in range(n)] + [
+            rng.choice([c for c in range(-9, 10) if c])]
+        p = sum(c * x ** i for i, c in enumerate(f))
+        if sympy.gcd_list(f) != 1 or not sympy.discriminant(p, x):
+            continue
+        e, a = rng.choice([1, -1]), rng.randint(-6, 6)
+        hermite.append((f, affine_image(f, e, a), [-e * a, e]))
+    return z, hermite
+
+
+def test_check_z_and_check_hermite_recheck_on_a_seeded_set(capsys):
+    for seed in (2701, 2702, 2703):
+        z, hermite = _verdict_pairs(seed)
+        for f, g in z:
+            recheck_z(f, g, _stdout(capsys, [
+                "check-z", "--poly", json.dumps(f), "--other", json.dumps(g)]))
+        for f, g, expr in hermite:
+            recheck_hermite(f, g, _stdout(capsys, [
+                "check-hermite", "--poly", json.dumps(f),
+                "--other", json.dumps(g), "--expr", json.dumps(expr)]))
+
+
+def test_check_hermite_rechecks_the_parametric_pairs(capsys):
+    # the ten pairs of battery criterion 12, five quartic and five quintic
+    pairs = ([quartic_pair(s, t) for s, t in quartic_samples(5)]
+             + [quintic_pair(s) for s in quintic_samples(5)])
+    for pair in pairs:
+        f, g = pair["f"], pair["g"]
+        recheck_hermite(f, g, _stdout(capsys, [
+            "check-hermite", "--poly", json.dumps(f), "--other",
+            json.dumps(g), "--expr", json.dumps(PAIR_EXPR)]))
+    assert len(pairs) == 10
+
+
+def test_reducible_pair_rechecks_on_three_cubics(capsys):
+    # g = X f(X) and h = X^4 f(1/X), read off f here
+    for f in ([1, -1, 0, 1], [1, 0, 1, 1], [1, 2, -3, 1]):
+        out = _stdout(capsys, ["reducible-pair", "--poly", json.dumps(f)])
+        recheck_hermite([0] + f, [0] + f[::-1], out)
+
+
+def test_recheck_hermite_and_z_refuse_a_tampered_witness(capsys):
+    f, g = quartic_pair(6, 21)["f"], quartic_pair(6, 21)["g"]
+    doc = json.loads(_stdout(capsys, [
+        "check-hermite", "--poly", json.dumps(f), "--other", json.dumps(g),
+        "--expr", json.dumps(PAIR_EXPR)]))
+    u = doc["witness"]
+    elementary = [u[0], [str(int(x) + int(y)) for x, y in zip(u[0], u[1])]]
+    for bad in ([u[1], u[0]] + u[2:], [list(r) for r in zip(*u)],
+                elementary + u[2:]):
+        with pytest.raises(AssertionError):
+            recheck_hermite(f, g, json.dumps(dict(doc, witness=bad)))
+    f = [1, -1, 0, 1]
+    out = _stdout(capsys, ["reducible-pair", "--poly", json.dumps(f)])
+    with pytest.raises(AssertionError):
+        recheck_hermite([0] + f[::-1], [0] + f, out)
+    f = [5, -3, 2, 1]
+    g = affine_image(f, -1, 4)
+    doc = json.loads(_stdout(capsys, [
+        "check-z", "--poly", json.dumps(f), "--other", json.dumps(g)]))
+    w = doc["witness"]
+    for bad in (dict(w, e=-w["e"]), dict(w, a=w["a"] + 1)):
+        with pytest.raises(AssertionError):
+            recheck_z(f, g, json.dumps(dict(doc, witness=bad)))
+    recheck_z(f, g, json.dumps(doc))
 
 
 def _evidence(capsys, poly, bound):
