@@ -436,12 +436,13 @@ def norm_form(l, o):
     return DecomposableForm(n, terms)
 
 
+@lru_cache(maxsize=None)
 def _exponents(nvars, deg):
     # the exponent vectors of total degree deg in nvars variables
     if nvars == 1:
-        return [(deg,)]
-    return [(k,) + e for k in range(deg + 1)
-            for e in _exponents(nvars - 1, deg - k)]
+        return ((deg,),)
+    return tuple((k,) + e for k in range(deg + 1)
+                 for e in _exponents(nvars - 1, deg - k))
 
 
 def _horner(terms, x):
@@ -463,23 +464,22 @@ SCAN_PRIME = 8191
 
 @lru_cache(maxsize=None)
 def _evaluators(n):
-    """(keys, scan): the block evaluator of a form P of degree n in
-    z_0..z_{n-1}, given as its coefficient vector C on the monomials whose
-    exponent tuples e are packed in keys as sum e_i (n + 1)^i, the packing
-    of packed_minors.
+    """(keys, scan): the residue scan of a form P of degree n in
+    z_0..z_{n-1}, given as its coefficient vector on the monomials whose
+    exponent tuples e, in the order of _exponents(n, n), are packed in keys
+    as sum e_i (n + 1)^i, the packing of packed_minors.
 
-    scan(C, R, prefix, us, s, rows, w) is the list of the points (u, t) at
-    which P(prefix, u, t) takes the value w or -w, with u in us, t in -s..s
-    when rows is true or |u| = s, and t = +-s otherwise; each point appears
-    once.  R is C reduced modulo SCAN_PRIME, and the scan runs on residues:
-    it forms the coefficients a of P as a polynomial in (u, t) from R,
-    each monomial of the prefix formed once and shared, and tests each
-    point for P = +-w modulo SCAN_PRIME.  Only the points that pass are
-    evaluated exactly, from the exact coefficients head(C, *prefix),
-    formed once per call and only if a point passes.  On a line of every t
-    it takes the coefficients c_j(u) of t^j by Horner in u, tests t = 0
-    once and then each pair +-t at once through the even and odd parts in
-    t: P(u, +-t) = E(t^2) +- t O(t^2).  On a line of t = +-s alone it
+    scan(R, prefix, us, s, rows, w) is the list of the points (u, t) at
+    which P(prefix, u, t) is congruent to w or -w modulo SCAN_PRIME, with
+    u in us, t in -s..s when rows is true or |u| = s, and t = +-s
+    otherwise; each point appears once.  R is the coefficient vector
+    reduced modulo SCAN_PRIME.  The scan is a filter only: _norm_hits
+    evaluates the points it returns exactly.  It forms the coefficients a
+    of P as a polynomial in (u, t) from R, each monomial of the prefix
+    formed once and shared.  On a line of every t it takes the
+    coefficients c_j(u) of t^j by Horner in u, tests t = 0 once and then
+    each pair +-t at once through the even and odd parts in t:
+    P(u, +-t) = E(t^2) +- t O(t^2).  On a line of t = +-s alone it
     evaluates P(u, +-s) = A(u) +- B(u), whose coefficients in u it forms
     once per call.  The a, the c_j(u) and A, B are reduced, so for a
     quartic up to bound 16 each point costs single-digit integer steps
@@ -492,7 +492,7 @@ def _evaluators(n):
     zs = ["z%d" % i for i in range(n - 2)]
     # a[k] is the coefficient of u^i t^j, (j, i) = pairs[k], t-degree first
     pairs = [(j, i) for j in range(n, -1, -1) for i in range(n - j, -1, -1)]
-    # head forms each monomial of the prefix once, as a product of one of
+    # each monomial of the prefix is formed once, as a product of one of
     # degree one less and a z; pre names it (None for the empty monomial)
     pre = {(0,) * (n - 2): None}
     shared = []
@@ -508,14 +508,10 @@ def _evaluators(n):
     parts = {pr: [] for pr in pairs}
     for k, e in enumerate(monos):
         mono = pre[e[:-2]]
-        parts[e[-1], e[-2]].append("[%d]*%s" % (k, mono) if mono
-                                   else "[%d]" % k)
+        parts[e[-1], e[-2]].append("R[%d]*%s" % (k, mono) if mono
+                                   else "R[%d]" % k)
     names = ["a%d" % k for k in range(len(pairs))]
     residue = " %% %d" % SCAN_PRIME
-
-    def sums(vec):
-        # the source of each a[k] from the coefficient vector named vec
-        return [" + ".join(vec + x for x in parts[pr]) or "0" for pr in pairs]
 
     def code(lines, indent):
         return "".join(" " * indent + ln + "\n" for ln in lines)
@@ -527,23 +523,24 @@ def _evaluators(n):
         return (["v = (e + o)" + residue] + found(t)
                 + ["v = (e - o)" + residue] + found("-" + t))
 
-    # c%d is c_j(u), the coefficient of t^j, named by n - j, with mod
-    # appended to its source
-    def coeffs(mod):
-        return ["c%d = (%s)%s" % (n - j, _horner(
-                    [nm for nm, pr in zip(names, pairs) if pr[0] == j], "u"),
-                                       mod)
-                for j in range(n, -1, -1)]
-
+    # c%d is c_j(u), the coefficient of t^j, named by n - j
+    coeffs = []
+    for j in range(n, -1, -1):
+        terms = [nm for nm, pr in zip(names, pairs) if pr[0] == j]
+        coeffs.append("c%d = (%s)%s" % (n - j, _horner(terms, "u"), residue))
     even = ["c%d" % (n - j) for j in range(n - n % 2, -1, -2)]
     odd = ["c%d" % (n - j) for j in range(n - 1 + n % 2, 0, -2)]
-    full = (coeffs(residue) + ["v = c%d" % n] + found("0")
+    full = (coeffs + ["v = c%d" % n] + found("0")
             + ["for t, t2 in squares:"]
             + ["    " + ln for ln in ["e = " + _horner(even, "t2"),
                                       "o = t * (%s)" % _horner(odd, "t2")]
                + both("t")])
     # A%d and B%d: the coefficients of u^i in the parts of P(u, s) even and
-    # odd in s, so that P(u, +-s) = A(u) +- B(u)
+    # odd in s, so that P(u, +-s) = A(u) +- B(u).  A line of t = +-s alone
+    # has two points, so it takes two Horner passes in u on coefficients
+    # formed once per call, where the c_j(u) of a full line would take
+    # n + 1 passes per line; with per-line c_j(u) on these lines too,
+    # criterion 9 ran about a fifth slower
     spow = ["s%d = s%d * s" % (j, j - 1) for j in range(2, n + 1)]
     ab = []
     for x, parity in (("A", 0), ("B", 1)):
@@ -555,17 +552,12 @@ def _evaluators(n):
     ring = ["e = " + _horner(["A%d" % i for i in range(n, -1, -1)], "u"),
             "o = " + _horner(["B%d" % i for i in range(n - 1, -1, -1)], "u")
             ] + both("s")
-    unpack = "    %s, = a\n" % ", ".join(names)
-    src = ("def head(%s):\n" % ", ".join(["C"] + zs) + code(shared, 4)
-           + "    return (%s,)\n" % ", ".join(sums("C"))
-           + "def value(a, u, t):\n" + unpack + code(coeffs(""), 4)
-           + "    return %s\n" % _horner(["c%d" % k for k in range(n + 1)],
-                                          "t")
-           + "def scan(C, R, prefix, us, s, rows, w):\n"
+    src = ("def scan(R, prefix, us, s, rows, w):\n"
            + ("    %s, = prefix\n" % ", ".join(zs) if zs else "")
            + code(shared, 4)
-           + code(["%s = (%s)%s" % (nm, x, residue)
-                   for nm, x in zip(names, sums("R"))], 4)
+           + code(["%s = (%s)%s" % (nm, " + ".join(parts[pr]) or "0",
+                                    residue)
+                   for nm, pr in zip(names, pairs)], 4)
            + "    r = w%s\n    nr = -w%s\n" % (residue, residue)
            + "    hits = []\n"
            + "    squares = [(t, t * t) for t in range(1, s + 1)]\n"
@@ -573,10 +565,6 @@ def _evaluators(n):
            + "    for u in us:\n"
            + "        if rows or u == s or u == -s:\n" + code(full, 12)
            + "        else:\n" + code(ring, 12)
-           + "    if hits:\n"
-           + "        a = head(C, *prefix)\n"
-           + "        hits = [(u, t) for u, t in hits\n"
-           + "                if value(a, u, t) in (w, -w)]\n"
            + "    return hits\n")
     compiled = {}
     exec(src, compiled)
@@ -600,14 +588,16 @@ def _norm_hits(coeffs, n, bound, want):
     the zero prefix u in 0..s, and a prefix below zero is skipped.  A line
     u takes every t in -s..s when the prefix or u reaches +-s, and t = +-s
     otherwise.  The coefficients are reduced modulo SCAN_PRIME once, and
-    one compiled scan per block tests each of its points on those
-    residues, evaluates each point that passes exactly, and returns the
-    points of value +-want, which are yielded in sorted (u, t) order, the
-    walk order within the block.  On the zero prefix the scan also
-    returns (0, ..., 0, -s), the negative of the box point (0, ..., 0, s),
-    when it hits; that point lies outside the box and is dropped.
+    one compiled scan per block returns the points whose value is +-want
+    modulo SCAN_PRIME.  Those candidates, in sorted (u, t) order, the walk
+    order within the block, are evaluated exactly, term by term in
+    integers, and the points of value +-want are yielded.  On the zero
+    prefix the scan also returns (0, ..., 0, -s), the negative of the box
+    point (0, ..., 0, s), when it matches; that point lies outside the box
+    and is dropped.
     """
     scan = _evaluators(n)[1]
+    terms = [(c, e) for c, e in zip(coeffs, _exponents(n, n)) if c]
     residues = [c % SCAN_PRIME for c in coeffs]
     zero = (0,) * (n - 2)
     for s in range(1, bound + 1):
@@ -620,11 +610,13 @@ def _norm_hits(coeffs, n, bound, want):
             else:
                 continue
             rows = s in prefix or -s in prefix
-            for u, t in sorted(scan(coeffs, residues, prefix, us, s, rows,
-                                    want)):
+            for u, t in sorted(scan(residues, prefix, us, s, rows, want)):
                 if t == -s and not u and prefix == zero:
                     continue
-                yield prefix + (u, t)
+                z = prefix + (u, t)
+                value = sum(c * prod(map(pow, z, e)) for c, e in terms)
+                if value in (want, -want):
+                    yield z
 
 
 def colon_and_kappa_search(l1, l2, bound):
@@ -636,8 +628,9 @@ def colon_and_kappa_search(l1, l2, bound):
     lattice (the as-computed colon basis can be badly skewed, which would
     bury small generators) of sup-norm 1..bound, one of each +- pair: those
     whose first nonzero entry is positive.  They are visited by sup-norm,
-    then in lex order, and only those whose norm form value is +-want, as
-    _norm_hits finds them, are confirmed exactly.  A hit is a proof;
+    then in lex order.  _norm_hits keeps those whose norm form value is
+    +-want modulo SCAN_PRIME and then, evaluated exactly, +-want; only
+    those are confirmed, by kappa * l2 = l1.  A hit is a proof;
     exhaustion is inconclusive (None).  A bound outside
     0..MAX_SEARCH_BOUND raises DomainError.
     """

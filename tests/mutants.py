@@ -30,6 +30,8 @@ _SOLVE = ("tests/test_intmat.py::"
           "test_adjugate_solve_gives_det_and_adjugate_times_b")
 _SHORTCUT = ("tests/test_algebra.py::"
              "test_kappa_search_reads_a_scalar_kappa_off_the_first_hnf_pivots")
+_ORDER = ("tests/test_algebra.py::"
+          "test_scaled_and_is_order_match_the_element_route")
 _PIVOTS = ("Fraction(l1.hnf[0][0] * l2.denominator, "
            "l2.hnf[0][0] * l1.denominator)")
 _FAMILY = ["tests/test_recheck.py::test_family_gen_rechecks_from_stdout"
@@ -43,22 +45,77 @@ MUTANTS = {
     "solve-backsub-term-dropped": Mutant(
         "intmat.py", "for j in range(i + 1, n):",
         "for j in range(i + 2, n):", [_SOLVE]),
-    # the scalar shortcut reads kappa off the second HNF pivots.  This one
-    # is equivalent: a scalar kappa with kappa l2 = l1 scales every pivot
-    # alike, so whichever pivot it is read from, the shortcut returns the
-    # same kappa or falls through to the same search
-    "shortcut-second-pivot": Mutant(
-        "algebra.py", _PIVOTS, _PIVOTS.replace("[0][0]", "[1][1]"),
-        [_SHORTCUT]),
+    # the determinant of the 0 x 0 matrix is taken as 0, not 1
+    "empty-determinant-zero": Mutant(
+        "intmat.py", "    if n == 0:\n        return 1\n",
+        "    if n == 0:\n        return 0\n",
+        ["tests/test_intpoly.py::test_resultant_hand_cases"]),
+    # the HNF keeps a negative pivot
+    "hnf-negative-pivot-kept": Mutant(
+        "intmat.py",
+        "        if h[row][col] < 0:\n"
+        "            h[row] = [-x for x in h[row]]\n", "",
+        ["tests/test_intmat.py::test_hnf_hand_case",
+         "tests/test_intmat.py::test_hnf_defining_properties_random"]),
+    # integer rows over a negative denominator keep its sign
+    "lowest-negative-den-kept": Mutant(
+        "algebra.py", "    if den < 0:\n        g = -g\n", "",
+        ["tests/test_algebra.py::"
+         "test_equal_elements_from_different_inputs_are_equal"]),
+    # kappa * L forgets the power table's scale
+    "scaled-without-pow-scale": Mutant(
+        "algebra.py", "kappa.den * self.denominator * a.pow_scale",
+        "kappa.den * self.denominator", [_ORDER]),
+    # is_order skips the closure test o * o = o
+    "is-order-without-closure": Mutant(
+        "algebra.py",
+        "return o.contains(o.algebra.one()) and lattice_mul(o, o) == o",
+        "return o.contains(o.algebra.one())", [_ORDER]),
+    # the covolume divides by the denominator once, not to the n-th power
+    "covolume-without-denominator-power": Mutant(
+        "algebra.py", "self.denominator ** self.algebra.n)",
+        "self.denominator)", [_SHORTCUT]),
+    # the scalar shortcut returns kappa without confirming kappa l2 = l1
+    "shortcut-unconfirmed": Mutant(
+        "algebra.py", "if l2.scaled(kappa) == l1:\n            return kappa",
+        "if True:\n            return kappa", [_SHORTCUT]),
     # the scalar shortcut forgets the lattices' denominators
     "shortcut-without-denominators": Mutant(
         "algebra.py", _PIVOTS, "Fraction(l1.hnf[0][0], l2.hnf[0][0])",
         [_SHORTCUT]),
-    # the residue scan returns its matches without the exact check
+    # the residue scan never tests the point (u, -t) of a pair
+    "scan-without-e-minus-o": Mutant(
+        "algebra.py", '+ ["v = (e - o)" + residue] + found("-" + t))', ")",
+        ["tests/test_algebra.py::test_scan_matches_brute_force",
+         "tests/test_algebra.py::"
+         "test_compiled_evaluators_match_direct_evaluation"]),
+    # the walk starts the zero prefix's block at u = 1, missing line u = 0
+    "zero-prefix-from-u-1": Mutant(
+        "algebra.py", "us = range(s + 1)", "us = range(1, s + 1)",
+        ["tests/test_algebra.py::"
+         "test_kappa_search_returns_the_first_hit_of_the_box"]),
+    # the walk yields the residue scan's candidates without the exact check
     "scan-without-exact-check": Mutant(
-        "algebra.py", "if value(a, u, t) in (w, -w)]", "if True]",
+        "algebra.py", "if value in (want, -want):", "if True:",
         ["tests/test_algebra.py::"
          "test_residue_scan_hit_list_matches_brute_force"]),
+    # a minors weight loses the sign of its complementary column set
+    "minors-weight-sign-dropped": Mutant(
+        "forms.py",
+        "                if (k * (k - 1) // 2 + sum(range(size)) - sum(comp))"
+        " % 2:\n                    w = -w\n", "",
+        ["tests/test_forms.py::"
+         "test_laplace_minors_matches_cofactor_determinant"]),
+    # _mul_add ignores its scale, so every term is added with weight 1
+    "mul-add-without-scale": Mutant(
+        "forms.py", "        x *= scale\n", "",
+        ["tests/test_algebra.py::test_norm_form_quadratics"]),
+    # is_squarefree takes a cofactor of 1 for a prime square, so an n that
+    # trial division factors completely reads as not squarefree
+    "squarefree-unit-cofactor-square": Mutant(
+        "primes.py", "return m == 1 or isqrt(m) ** 2 != m",
+        "return isqrt(m) ** 2 != m",
+        ["tests/test_quartic.py::test_is_squarefree_matches_factorint"]),
     # the GL2 witness sign is flipped
     "witness-sign-flipped": Mutant(
         "equivalence.py", "return -1 if lead < 0 else 1",

@@ -727,12 +727,15 @@ def test_kappa_search_returns_the_first_hit_of_the_box():
 
 
 def test_compiled_evaluators_match_direct_evaluation():
-    # n = 2 has an empty head.  For every value w of every block of the
-    # box, scan through head must return exactly the points of the block
-    # where |P| = |w| by oracles.form_value, each once, plus the
-    # zero prefix's (0, ..., 0, -s) when it qualifies; and nothing for a
-    # value beyond them all
+    # n = 2 has an empty prefix.  For every value w of every block of the
+    # box, its negative, w + SCAN_PRIME and a value beyond them all, scan
+    # must return exactly the points of the block whose value by
+    # oracles.form_value is = +-w (mod SCAN_PRIME), each once, plus the
+    # zero prefix's (0, ..., 0, -s) when it qualifies.  A point of value w
+    # matches w + SCAN_PRIME by residue and not by value
+    p = SCAN_PRIME
     rng = random.Random(41)
+    inexact = 0
     for n in range(2, 6):
         exps = [e for e in itertools.product(range(n + 1), repeat=n)
                 if sum(e) == n]
@@ -740,48 +743,50 @@ def test_compiled_evaluators_match_direct_evaluation():
         keys, scan = _evaluators(n)
         monos = [unpack_exponents(key, n, n + 1) for key in keys]
         assert sorted(monos) == exps
-        coeffs = [form.terms.get(e, 0) for e in monos]
-        residues = [c % SCAN_PRIME for c in coeffs]
+        residues = [form.terms.get(e, 0) % p for e in monos]
         points = 0
         # a block: the lines of one shell s (every line holds t = s)
         # that share a prefix
         for (s, prefix), block in itertools.groupby(
                 lines(n, 2), key=lambda l: (max(l[1]), l[0][:-1])):
             block = list(block)
-            covered = [(p[-1], t) for p, ts in block for t in ts]
+            covered = [(pre[-1], t) for pre, ts in block for t in ts]
             points += len(covered)
             if not any(prefix):
                 covered.append((0, -s))
             value = {pt: abs(form_value(form, prefix + pt))
                      for pt in covered}
-            us = [p[-1] for p, _ in block]
+            us = [pre[-1] for pre, _ in block]
             rows = s in prefix or -s in prefix
-            for w in set(value.values()):
-                for sign in (1, -1):
-                    hits = scan(coeffs, residues, prefix, us, s, rows,
-                                sign * w)
+            top = max(value.values())
+            for w in set(value.values()) | {top + 1}:
+                for x in (w, -w, w + p):
+                    hits = scan(residues, prefix, us, s, rows, x)
                     assert len(hits) == len(set(hits))
                     assert set(hits) == {pt for pt in covered
-                                         if value[pt] == w}, (n, prefix, w)
-            assert scan(coeffs, residues, prefix, us, s, rows,
-                        max(value.values()) + 1) == []
+                                         if (value[pt] - x) % p == 0
+                                         or (value[pt] + x) % p == 0}, \
+                        (n, prefix, x)
+                    inexact += any(value[pt] != abs(x) for pt in hits)
         assert points == (5 ** n - 1) // 2
+    assert inexact
 
 
 def test_scan_matches_brute_force():
     # a full block (rows true), a ring block (every t only where |u| = s)
     # and the zero prefix's half ring (u >= 0) against the values of the
-    # points each covers, by oracles.form_value; every value and its
-    # negative must be found, and values outside +-that set must not
+    # points each covers, by oracles.form_value: every value, its negative
+    # and its shift by SCAN_PRIME, a residue match that is not an exact
+    # one, must be found, and residues outside +-those values must not
+    p = SCAN_PRIME
     rng = random.Random(47)
     for n in range(2, 6):
         exps = [e for e in itertools.product(range(n + 1), repeat=n)
                 if sum(e) == n]
         form = DecomposableForm(n, {e: rng.randint(-30, 30) for e in exps})
         keys, scan = _evaluators(n)
-        coeffs = [form.terms.get(unpack_exponents(key, n, n + 1), 0)
-                  for key in keys]
-        residues = [c % SCAN_PRIME for c in coeffs]
+        residues = [form.terms.get(unpack_exponents(key, n, n + 1), 0) % p
+                    for key in keys]
         for s in range(1, 4):
             full = range(-s, s + 1)
             inner = range(1 - s, s)
@@ -792,18 +797,22 @@ def test_scan_matches_brute_force():
                      ((0,) * (n - 2), range(s + 1), False)]
             for prefix, us, rows in kinds:
                 prefix = prefix[:n - 2]
-                values = {form_value(form, prefix + (u, t)) for u in us
-                          for t in (full if rows or abs(u) == s else (-s, s))}
-                block = (coeffs, residues, prefix, us, s, rows)
-                for v in values:
-                    assert scan(*block, v), (n, s, prefix, rows, v)
-                    assert scan(*block, -v), (n, s, prefix, rows, v)
-                top = max(map(abs, values))
-                absent = [w for w in range(top + 3) if w not in values
-                          and -w not in values]
+                points = [(u, t) for u in us
+                          for t in (full if rows or abs(u) == s
+                                    else (-s, s))]
+                values = {pt: form_value(form, prefix + pt) for pt in points}
+                block = (residues, prefix, us, s, rows)
+                for pt, v in values.items():
+                    assert pt in scan(*block, v), (n, s, prefix, rows, v)
+                    assert pt in scan(*block, -v), (n, s, prefix, rows, v)
+                    assert pt in scan(*block, abs(v) + p), (n, s, prefix, v)
+                classes = {v % p for v in values.values()}
+                absent = [w for w in range(p)
+                          if w not in classes and -w % p not in classes]
                 assert absent
                 for w in absent[:5] + absent[-5:]:
                     assert not scan(*block, w), (n, s, prefix, w)
+                    assert not scan(*block, w + p), (n, s, prefix, w)
 
 
 def test_residue_scan_hit_list_matches_brute_force():
